@@ -25,7 +25,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.deprecation import warn_deprecated_kw
 from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
 from repro.core.units import format_time
@@ -141,24 +140,6 @@ def _resolve_masks(
     return masks, patterns
 
 
-def _pop_legacy(
-    kwargs: dict[str, Any], old: str, new: str, explicit: bool
-) -> Any:
-    """Resolve a renamed keyword: warn on the old spelling, reject both."""
-    if old not in kwargs:
-        return _UNSET
-    value = kwargs.pop(old)
-    if explicit:
-        raise ConfigError(f"got both {new!r} and its deprecated alias {old!r}")
-    # stacklevel 3: above this frame and the public API function, i.e. the
-    # user's own call site.
-    warn_deprecated_kw(old, new, stacklevel=3)
-    return value
-
-
-_UNSET = object()
-
-
 def compile_model(
     model: str | ModelConfig,
     batch: int,
@@ -181,8 +162,7 @@ def compile_model(
     :class:`GPUSpec` (default ``"a100"``); ``engine`` a registry name or an
     :class:`Engine` instance.  Raises the same
     :class:`UnsupportedInputError` / :class:`DeviceOutOfMemoryError` the
-    engines raise.  The historical ``gpu=`` / ``pattern=`` spellings still
-    work but emit a :class:`DeprecationWarning`.
+    engines raise.
 
     ``plan_cache`` (optional) is a shared :class:`repro.plan.PlanCache`:
     planning decisions are looked up there before being recomputed, so
@@ -205,12 +185,6 @@ def compile_model(
     :func:`repro.parallel.compile.compile_sharded`.  The result is a
     :class:`repro.parallel.ShardedCompiledModel`.
     """
-    legacy_device = _pop_legacy(engine_kwargs, "gpu", "device", device is not None)
-    if legacy_device is not _UNSET:
-        device = legacy_device
-    legacy_mask = _pop_legacy(engine_kwargs, "pattern", "mask", mask is not None)
-    if legacy_mask is not _UNSET:
-        mask = legacy_mask
     device = "a100" if device is None else device
     mask = "bigbird" if mask is None else mask
 
@@ -255,28 +229,15 @@ def compare_engines(
     mask: str | np.ndarray | None = None,
     engines: tuple[str, ...] = tuple(ENGINES),
     seed: int = 0,
-    **legacy: Any,
 ) -> dict[str, CompiledModel | str]:
     """Compile one workload under several engines.
 
     Returns ``{engine: CompiledModel}``, with ``"unsupported"`` /
     ``"oom"`` strings for engines that cannot run the workload (the
-    missing bars of the paper's figures).  ``gpu=`` / ``pattern=`` are
-    deprecated aliases of ``device=`` / ``mask=``.
+    missing bars of the paper's figures).
     """
     from repro.core.errors import DeviceOutOfMemoryError, UnsupportedInputError
 
-    legacy_device = _pop_legacy(legacy, "gpu", "device", device is not None)
-    if legacy_device is not _UNSET:
-        device = legacy_device
-    legacy_mask = _pop_legacy(legacy, "pattern", "mask", mask is not None)
-    if legacy_mask is not _UNSET:
-        mask = legacy_mask
-    if legacy:
-        raise TypeError(
-            f"compare_engines() got unexpected keyword arguments "
-            f"{sorted(legacy)}"
-        )
     device = "a100" if device is None else device
     mask = "bigbird" if mask is None else mask
 

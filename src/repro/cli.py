@@ -22,10 +22,9 @@
 * ``report``  — collate benchmark result tables into one markdown report.
 * ``devices`` — list the simulated GPU specs.
 
-Mask selection is ``--mask`` everywhere; the historical ``--pattern``
-spelling still parses but emits a :class:`DeprecationWarning`.  Likewise
-``--gpu`` for ``--device``.  Configuration errors exit with status 2,
-other library errors with 1 — never a traceback.
+Mask selection is ``--mask`` and the simulated GPU is ``--device``
+everywhere.  Configuration errors exit with status 2, other library
+errors with 1 — never a traceback.
 
 Examples::
 
@@ -40,12 +39,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Sequence
 
 
 from repro.api import ENGINES, compare_engines, compile_model
-from repro.core.deprecation import warn_deprecated_option
 from repro.core.errors import ConfigError, ReproError
 from repro.core.rng import RngStream
 from repro.core.units import format_time
@@ -58,28 +55,15 @@ from repro.mha.baselines import (
     MCFuserAttention,
     NaiveAttention,
 )
+from repro.mha.kernel import EXEC_BACKENDS
 from repro.mha.module import UnifiedMHA
 from repro.mha.problem import AttentionProblem
 
 
-def _deprecated_alias(preferred: str, *aliases: str) -> type[argparse.Action]:
-    """A store action that warns (once) when an old option spelling is used."""
-
-    class _Alias(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            if option_string in aliases:
-                warn_deprecated_option(option_string, preferred)
-            setattr(namespace, self.dest, values)
-
-    return _Alias
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--device", "--gpu", dest="device", default="a100",
-        choices=sorted(KNOWN_GPUS),
-        action=_deprecated_alias("--device", "--gpu"),
-        help="simulated GPU (--gpu is a deprecated alias)",
+        "--device", default="a100", choices=sorted(KNOWN_GPUS),
+        help="simulated GPU",
     )
     parser.add_argument("--seed", type=int, default=0)
 
@@ -88,12 +72,9 @@ def _add_mask(
     parser: argparse.ArgumentParser,
     default: str | None,
     choices: Sequence[str] | None = None,
-    help: str = "mask pattern (--pattern is a deprecated alias)",
+    help: str = "mask pattern",
 ) -> None:
-    parser.add_argument(
-        "--mask", "--pattern", dest="mask", default=default, choices=choices,
-        action=_deprecated_alias("--mask", "--pattern"), help=help,
-    )
+    parser.add_argument("--mask", default=default, choices=choices, help=help)
 
 
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
@@ -566,19 +547,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     with use_tracer(tracer), use_metrics(metrics):
         if args.workload == "compile":
-            engine_kwargs = {}
-            if getattr(args, "exec_backend", None):
-                engine_kwargs["exec_backend"] = args.exec_backend
+            # Only STOF's own kernels have execution backends.
+            engine_kwargs = (
+                {"exec_backend": args.exec_backend} if args.engine == "stof" else {}
+            )
             compiled = compile_model(
                 args.model, args.batch, args.seq_len,
                 device=args.device, mask=args.mask, engine=args.engine,
                 seed=args.seed, **engine_kwargs,
             )
-            if engine_kwargs:
-                # Functional forward pass so execution spans land in the
-                # trace — for codegen, emission (cold) vs execution (every
-                # call) separate into codegen.emit / codegen.exec lanes.
-                compiled.run()
+            # Functional forward pass so execution spans land in the
+            # trace — for codegen, emission (cold) vs execution (every
+            # call) separate into codegen.emit / codegen.exec lanes.
+            compiled.run()
             meta = {
                 "workload": "compile", "engine": compiled.engine_name,
                 "model": args.model, "device": args.device, "mask": args.mask,
@@ -669,9 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_devices)
 
     p = sub.add_parser("masks", help="Table-2 style mask analysis")
-    _add_mask(p, default=None,
-              help="analyze one pattern (default: all; "
-                   "--pattern is a deprecated alias)")
+    _add_mask(p, default=None, help="analyze one pattern (default: all)")
     p.add_argument("--seq-len", type=int, default=1024)
     p.add_argument("--show", action="store_true",
                    help="render the mask and its BSR block grid")
@@ -883,11 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=128)
     _add_mask(p, default="bigbird")
     p.add_argument("--engine", default="stof")
-    p.add_argument("--exec-backend", default=None,
-                   choices=("vectorized", "loop", "codegen"),
-                   help="compile workload: also execute a forward pass "
-                        "under this execution backend so kernel spans "
-                        "(e.g. codegen.emit vs codegen.exec) are traced")
+    p.add_argument("--exec-backend", default=EXEC_BACKENDS[0],
+                   choices=EXEC_BACKENDS,
+                   help="compile workload: execution backend of the traced "
+                        "forward pass (STOF engine; kernel spans such as "
+                        "codegen.emit vs codegen.exec land in the trace)")
     p.add_argument("--num-requests", type=int, default=8,
                    help="serve-sim workload: trace size")
     p.add_argument("--rate", type=float, default=500.0,
@@ -907,11 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Python hides DeprecationWarning outside __main__ by default; the
-    # --gpu/--pattern alias warnings must reach terminal users.
-    warnings.filterwarnings(
-        "default", message=r"--\w+ is deprecated", category=DeprecationWarning
-    )
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

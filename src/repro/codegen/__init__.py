@@ -1,10 +1,10 @@
 """Plan-to-code generation: specialized Python/NumPy kernels per compiled plan.
 
-The codegen tier sits above the execution backends (``exec_backend`` on the
-MHA kernels): instead of walking the generic bucketing/gather machinery of
-the vectorized backend on every call, it *emits Python source specialized to
-one mask* — block layout, bucket membership, strides, and chunk sizes baked
-in as literals, dead branches (bias adds, masked-row guards, chunk loops)
+The default execution backend of the MHA kernels (``exec_backend="codegen"``;
+``"loop"`` is the oracle): instead of interpreting the plan's bucketing and
+gather decisions on every call, it *emits Python source specialized to one
+mask* — block layout, bucket membership, strides, and chunk sizes baked in
+as literals, dead branches (bias adds, masked-row guards, chunk loops)
 eliminated when the mask proves them unreachable — then ``exec``/imports the
 module and caches it keyed by the plan's :class:`repro.plan.PlanKey` hash.
 
@@ -15,8 +15,9 @@ Layout (modelled on torchinductor's template codegen):
   a ``version`` that participates in the plan key, so upgrading a template
   invalidates stale cached modules instead of silently executing old code.
 * :mod:`repro.codegen.blockwise` / :mod:`repro.codegen.rowwise` — the
-  specializers mirroring the vectorized backends' math operation for
-  operation (differentially tested to the FP16 noise floor).
+  specializers (differentially tested against the loop oracle to the FP16
+  noise floor); each records one group decision per emitted group, which
+  the kernel counters replay.
 * :mod:`repro.codegen.cache` — content-addressed generated-code cache:
   in-process (zero rebind cost) and optionally on disk (warm starts skip
   emission entirely; corrupted entries are detected by hash and re-emitted).

@@ -13,7 +13,8 @@ Bind path for one problem:
    *zero* ``codegen.emit`` spans, which the round-trip tests pin.
 3. ``entry.run(q, k, v)`` — the generated module's ``run`` with its bound
    constant pool.  Operands arrive pre-scaled fp32, exactly as the loop
-   and vectorized backends receive them.
+   oracle receives them.  With a metrics registry installed, the entry's
+   group records replay into the ``mha.*`` kernel counters on every call.
 
 With symbolic codegen enabled (``STOF_CODEGEN_SYMBOLIC=1`` or
 :func:`use_symbolic_codegen`), step 1 frees ``n_bh`` (the only dimension
@@ -40,7 +41,7 @@ import numpy as np
 from repro.codegen.blockwise import specialize_blockwise
 from repro.codegen.cache import CacheEntry, codegen_cache
 from repro.codegen.rowwise import specialize_rowwise
-from repro.codegen.templates import GeneratedSource, get_template
+from repro.codegen.templates import GeneratedSource, GroupRecord, get_template
 from repro.masks.bsr import BlockSparseMask
 from repro.obs.metrics import current_metrics
 from repro.obs.tracer import current_tracer
@@ -145,10 +146,10 @@ def generated_kernel(
             return entry
         loaded = cache.load_disk(digest, tmpl.name, tmpl.version)
         if loaded is not None:
-            source, consts, _meta = loaded
+            source, consts, counters, _meta = loaded
             entry = CacheEntry(
                 key, tmpl.name, tmpl.version, source,
-                _exec_module(source, digest), consts,
+                _exec_module(source, digest), consts, counters,
             )
             cache.put(digest, entry)
             sp.add(outcome="hit-disk")
@@ -173,10 +174,13 @@ def generated_kernel(
             m.counter("codegen.emit", template=template).inc()
     entry = CacheEntry(
         key, gen.template, gen.version, gen.source,
-        _exec_module(gen.source, digest), gen.consts,
+        _exec_module(gen.source, digest), gen.consts, gen.counters,
     )
     cache.put(digest, entry)
-    cache.store_disk(digest, key, gen.template, gen.version, gen.source, gen.consts)
+    cache.store_disk(
+        digest, key, gen.template, gen.version, gen.source, gen.consts,
+        gen.counters,
+    )
     return entry
 
 
@@ -229,11 +233,11 @@ def generated_family_kernel(
                 return entry
             loaded = cache.load_disk(digest, tmpl.name, tmpl.version)
             if loaded is not None:
-                source, consts, meta = loaded
+                source, consts, counters, meta = loaded
                 key = SymbolicPlanKey.from_dict(meta["key"])
                 entry = CacheEntry(
                     key, tmpl.name, tmpl.version, source,
-                    _exec_module(source, digest), consts,
+                    _exec_module(source, digest), consts, counters,
                 )
                 cache.put(digest, entry)
                 sp.add(outcome="hit-disk")
@@ -264,10 +268,13 @@ def generated_family_kernel(
     key = SymbolicPlanKey(base, tuple(sorted(shape)), guards)
     entry = CacheEntry(
         key, gen.template, gen.version, gen.source,
-        _exec_module(gen.source, digest), gen.consts,
+        _exec_module(gen.source, digest), gen.consts, gen.counters,
     )
     cache.put(digest, entry)
-    cache.store_disk(digest, key, gen.template, gen.version, gen.source, gen.consts)
+    cache.store_disk(
+        digest, key, gen.template, gen.version, gen.source, gen.consts,
+        gen.counters,
+    )
     cache.put_family(base.digest, guards, digest)
     return entry
 
@@ -295,8 +302,10 @@ def run_blockwise(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    kernel: str,
 ) -> np.ndarray:
-    """Execute one blockwise problem through its generated module."""
+    """Execute one blockwise problem through its generated module;
+    ``kernel`` labels the kernel counters."""
     symbolic = symbolic_codegen_enabled()
 
     def resolve() -> CacheEntry:
@@ -329,7 +338,7 @@ def run_blockwise(
     entry = _problem_entry(
         problem, ("blockwise", bsr.block_m, bsr.block_n, symbolic), resolve
     )
-    return _traced_run(entry, "blockwise", q, k, v)
+    return _traced_run(entry, "blockwise", kernel, q, k, v)
 
 
 def run_rowwise(
@@ -339,8 +348,10 @@ def run_rowwise(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    kernel: str,
 ) -> np.ndarray:
-    """Execute one rowwise problem through its generated module."""
+    """Execute one rowwise problem through its generated module;
+    ``kernel`` labels the kernel counters."""
     symbolic = symbolic_codegen_enabled()
 
     def resolve() -> CacheEntry:
@@ -371,19 +382,53 @@ def run_rowwise(
         )
 
     entry = _problem_entry(problem, ("rowwise", symbolic), resolve)
-    return _traced_run(entry, "rowwise", q, k, v)
+    return _traced_run(entry, "rowwise", kernel, q, k, v)
+
+
+def _count_groups(
+    m, kernel: str, records: list[GroupRecord], q: np.ndarray
+) -> None:
+    """Replay one call's kernel counters from the module's group records.
+
+    Per group: one ``mha.path`` hit and its ``mha.chunks``; gathering
+    groups add the fp32 K + V bytes their gathers materialize
+    (``mha.gather_bytes``), row buckets their rows (``mha.bucket_rows``),
+    both labelled by capacity bucket.
+    """
+    n_bh, d = q.shape[0], q.shape[2]
+    for rec in records:
+        m.counter("mha.path", kernel=kernel, path=rec.path).inc()
+        chunks = -(-(rec.rows or n_bh) // rec.chunk) if rec.chunk else 1
+        m.counter("mha.chunks", kernel=kernel, path=rec.path).inc(chunks)
+        if rec.lanes:
+            m.counter("mha.gather_bytes", kernel=kernel, cap=rec.cap).inc(
+                2.0 * n_bh * rec.lanes * d * 4.0
+            )
+        if rec.rows:
+            m.counter("mha.bucket_rows", kernel=kernel, cap=rec.cap).inc(
+                rec.rows
+            )
 
 
 def _traced_run(
-    entry: CacheEntry, template: str, q: np.ndarray, k: np.ndarray, v: np.ndarray
+    entry: CacheEntry,
+    template: str,
+    kernel: str,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
 ) -> np.ndarray:
     """Run the bound module, under a ``codegen.exec`` span when tracing.
 
     With the emission span on the cold path and this span on every call,
     a ``repro profile`` trace separates one-time emission cost from warm
     per-call execution — the guarded fast path keeps the untraced hot
-    loop at a single attribute check.
+    loop at a single attribute check.  Kernel counters likewise cost one
+    ``enabled`` check when no metrics registry is installed.
     """
+    m = current_metrics()
+    if m.enabled:
+        _count_groups(m, kernel, entry.counters, q)
     tracer = current_tracer()
     if not tracer.enabled:
         return entry.run(q, k, v)

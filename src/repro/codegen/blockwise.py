@@ -1,9 +1,9 @@
 """Blockwise plan-to-code specializer.
 
 Emits one straight-line Python/NumPy module per (mask, geometry, block
-parameters): the vectorized backend's per-``concat_groups`` traversal is
-unrolled at emission time, with bucket membership, tile columns, strides,
-and chunk sizes baked in as literals.  Dead branches are eliminated by
+parameters): the per-``concat_groups`` traversal is unrolled at emission
+time, with bucket membership, tile columns, strides, and chunk sizes baked
+in as literals.  Dead branches are eliminated by
 *proof from the mask*:
 
 * groups whose bias slab is absent (or all zero) skip the ``s += bias`` add,
@@ -15,9 +15,10 @@ and chunk sizes baked in as literals.  Dead branches are eliminated by
 * the chunk loop of gathered groups collapses to straight-line code when
   one chunk covers the whole ``batch*heads`` axis.
 
-The emitted arithmetic mirrors ``BlockWiseKernel._run_vectorized``
-operation for operation, so outputs agree with both existing backends at
-the FP16 noise floor (differentially tested, no tolerance widening).
+Each block row's valid tiles are concatenated along the key axis, so the
+loop oracle's running-max rescale becomes a plain two-pass last-axis
+softmax; outputs agree with ``BlockWiseKernel._run_loop`` at the FP16
+noise floor (differentially tested, no tolerance widening).
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.codegen.emit import IndentedBuffer
-from repro.codegen.templates import GeneratedSource, module_header, register_template
+from repro.codegen.templates import (
+    GeneratedSource,
+    GroupRecord,
+    module_header,
+    register_template,
+)
 from repro.masks.bsr import BlockSparseMask
 from repro.mha.kernel import GATHER_CHUNK_ELEMS
 
@@ -36,7 +42,7 @@ if TYPE_CHECKING:  # annotation-only: the plan layer never runs at emit time
 
 #: Bump when the emitted code changes shape: stale cached modules (disk and
 #: in-memory) are invalidated through the plan key, never silently reused.
-BLOCKWISE_TEMPLATE_VERSION = 1
+BLOCKWISE_TEMPLATE_VERSION = 2
 
 #: Dense lowering: when the mask is near-dense at block granularity, the
 #: group-wise traversal degenerates into many small batched GEMMs plus tile
@@ -44,7 +50,8 @@ BLOCKWISE_TEMPLATE_VERSION = 1
 #: at far better BLAS efficiency.  Lower to dense when the total block count
 #: is within this factor of the (padded) valid block count — i.e. the dense
 #: FLOP overhead stays below the measured small-GEMM/gather penalty — and
-#: the per-batch-row score tile still fits in cache.
+#: the per-batch-row score tile (``seq * kv`` elements) stays strictly
+#: below ``DENSE_LOWER_MAX_ELEMS`` (so 512x512 takes the sparse lowering).
 DENSE_LOWER_FACTOR = 2.5
 DENSE_LOWER_MAX_ELEMS = 1 << 18
 
@@ -59,9 +66,11 @@ BANDED_DENSE_FACTOR = 1.25
 def _banded_layout(cols: np.ndarray) -> tuple[int, int] | None:
     """(start, step) when a group's tile columns admit a strided view.
 
-    Mirrors ``repro.mha.blockwise._banded_view`` legality: per-row tile
-    columns consecutive, first column advancing by one uniform non-negative
-    step — the banded/uniform-pattern case.
+    Legal when every row's tile columns are consecutive and the first
+    column advances by one uniform non-negative step per row — the
+    banded/uniform-pattern case.  Each ``(cap*b, d)`` slice of the view is
+    then a plain contiguous slice of the tiled operand, so the matmuls hit
+    BLAS with no copy and no gather.
     """
     n_g, cap = cols.shape
     if cap > 1 and not (np.diff(cols, axis=1) == 1).all():
@@ -96,9 +105,9 @@ def _padded_elems(bsr: BlockSparseMask) -> int:
 def _retile_banded(bsr: BlockSparseMask, mask: np.ndarray) -> BlockSparseMask:
     """Re-tile a fully banded mask at a finer granularity when that shrinks it.
 
-    The kernel's block size is chosen by the vectorized backend's cost
-    model, where big tiles amortize gather bookkeeping.  The banded
-    lowering has *no* gather — K/V feed the einsum through zero-copy
+    The kernel's block size is chosen by its cost model, where big tiles
+    amortize gather bookkeeping.  The banded lowering has *no* gather —
+    K/V feed the einsum through zero-copy
     strided views — so the only cost that scales with tile size is band
     over-coverage: a 64-wide tile row covers a ~45-wide band with ~40%
     padding that a 16-wide tiling avoids.  Scan power-of-two refinements
@@ -127,15 +136,18 @@ def _dense_lowering(bsr: BlockSparseMask, mask: np.ndarray | None) -> bool:
 
     Padded tile count (what the group-wise traversal actually computes,
     including bucket padding) within ``DENSE_LOWER_FACTOR`` of the full
-    block grid, and a score matrix small enough that the dense GEMM stays
-    cache-friendly.  Measured on the wallclock grid: dense wins 2-4x at
-    seq<=256 for every pattern and keeps winning for high-density masks
-    (bigbird) at 512, while low-density large-seq masks (where the factor
-    gate fails) stay on the sparse traversal.
+    block grid, and a score matrix strictly smaller than
+    ``DENSE_LOWER_MAX_ELEMS`` so the dense GEMM stays cache-friendly.
+    Measured on the wallclock grid (12 heads x 64): dense wins 2-4x at
+    seq<=256 for every pattern, but at 512x512 the sparse traversal is
+    faster or even (one BLAS thread, interleaved best-of-31: longformer
+    1x512 11.6 vs 14.2 ms, bigbird 1x512 12.5 vs 13.8 ms; at 8x512
+    longformer 0.83-0.88x of dense, bigbird 0.99-1.09x), so 512 stays
+    sparse.
     """
     if mask is None or bsr.n_valid == 0:
         return False
-    if bsr.seq_len * bsr.kv_len > DENSE_LOWER_MAX_ELEMS:
+    if bsr.seq_len * bsr.kv_len >= DENSE_LOWER_MAX_ELEMS:
         return False
     groups = bsr.concat_groups()
     padded = sum(idx.shape[0] * idx.shape[1] for _, idx, _ in groups)
@@ -184,6 +196,7 @@ def specialize_blockwise(
 
     buf = IndentedBuffer()
     consts: list[np.ndarray] = []
+    counters: list[GroupRecord] = []
 
     def const(arr: np.ndarray) -> str:
         consts.append(arr)
@@ -238,11 +251,13 @@ def specialize_blockwise(
             buf.writeline("vs0, vs1, vs2 = flatv.strides")
 
         for gi, (rows_g, idx, slab) in enumerate(groups):
-            _emit_group(buf, const, bsr, gi, rows_g, idx, slab, n_bh, sym)
+            counters.append(
+                _emit_group(buf, const, bsr, gi, rows_g, idx, slab, n_bh, sym)
+            )
 
         buf.writeline(f"return out[:, :{seq}]")
     return GeneratedSource(
-        "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts
+        "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts, counters
     )
 
 
@@ -328,7 +343,11 @@ def _specialize_dense(
                 buf.writeline(f"np.divide(o, l, out=out[gs]{where})")
         buf.writeline("return out")
     return GeneratedSource(
-        "blockwise", BLOCKWISE_TEMPLATE_VERSION, buf.getvalue(), consts
+        "blockwise",
+        BLOCKWISE_TEMPLATE_VERSION,
+        buf.getvalue(),
+        consts,
+        [GroupRecord("dense", chunk=g_chunk)],
     )
 
 
@@ -367,7 +386,7 @@ def _emit_group(
     slab: np.ndarray | None,
     n_bh: int,
     sym: "GuardRecorder | None" = None,
-) -> None:
+) -> GroupRecord:
     bm, bn = bsr.block_m, bsr.block_n
     n_g, cap = idx.shape
     cols = bsr.load_col_idx[idx].astype(np.int64)
@@ -375,7 +394,7 @@ def _emit_group(
     contig = int(rows_g[-1]) - int(rows_g[0]) + 1 == n_g
     a, b_hi = int(rows_g[0]), int(rows_g[-1]) + 1
     # A fully-masked query row is exactly a slab row that is all -inf; only
-    # those groups need the NaN guards the vectorized backend always pays.
+    # those groups need the NaN guards.
     dead = slab is not None and bool(np.isinf(slab).all(axis=-1).any())
     bias_ref = const(slab) if slab is not None else None
 
@@ -406,11 +425,14 @@ def _emit_group(
             out_ref=(f"outb[:, {rows_ref}]" if contig else None),
             scatter_ref=(None if contig else f"outb[:, {rows_ref_arr}]"),
         )
-        return
+        return GroupRecord("banded")
 
     # Gathered group: per-chunk tile gathers bounded by GATHER_CHUNK_ELEMS.
     cg = const(cols)
     g_chunk = max(1, int(GATHER_CHUNK_ELEMS // max(1, n_g * bm * cap * bn)))
+    gathered = GroupRecord(
+        "gather", cap=int(cap), chunk=g_chunk, lanes=int(n_g * cap * bn)
+    )
     one_chunk = (
         sym.le("n_bh", g_chunk) if sym is not None else g_chunk >= n_bh
     )
@@ -424,7 +446,7 @@ def _emit_group(
             out_ref=(f"outb[:, {rows_ref}]" if contig else None),
             scatter_ref=(None if contig else f"outb[:, {rows_ref_arr}]"),
         )
-        return
+        return gathered
 
     buf.writeline(f"for g0 in range(0, n_bh, {g_chunk}):")
     with buf.indent():
@@ -439,6 +461,7 @@ def _emit_group(
             out_ref=(f"outb[gs, {rows_ref}]" if contig else None),
             scatter_ref=(None if contig else f"outb[gs, {rows_ref_arr}]"),
         )
+    return gathered
 
 
 def _emit_softmax_matmul(
@@ -452,8 +475,8 @@ def _emit_softmax_matmul(
     """The shared score → softmax → context tail of every group.
 
     The final divide writes straight into the FP16 output (one rounding,
-    same as the backend-level ``to_fp16`` downcast it replaces) — the
-    generated module returns FP16 and the kernel's cast becomes a no-op.
+    same as a divide-then-``to_fp16`` downcast) — the generated module
+    returns FP16 and the kernel's cast becomes a no-op.
     """
     buf.writeline("s = qg @ kg.swapaxes(-1, -2)")
     if bias_ref is not None:

@@ -6,9 +6,11 @@ Two tiers, both keyed by the codegen :class:`repro.plan.PlanKey` digest:
   cost a dict lookup, nothing is re-emitted or re-``exec``'d.
 * **on disk** (optional) — the emitted *source* as ``<digest>.py`` next to
   a ``<digest>.json`` sidecar recording the SHA-256 of the source, the
-  template name/version, and the full plan key.  A warm process loads the
-  source, verifies the hash and version, and re-``exec``'s it — zero
-  emission cost, byte-identical module text.  A corrupted or stale entry
+  template name/version, the full plan key, and the module's group records
+  (so a disk hit reports the same kernel counters as the emission).  A
+  warm process loads the source, verifies the hash and version, and
+  re-``exec``'s it — zero emission cost, byte-identical module text.  A
+  corrupted or stale entry
   (hash mismatch, version skew, unreadable sidecar) is *never* imported:
   it is dropped and the module is regenerated in place.
 
@@ -40,6 +42,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.codegen.templates import GroupRecord
 from repro.plan.key import PlanKey
 from repro.plan.symbolic import GuardSet
 
@@ -53,9 +56,12 @@ def source_hash(source: str) -> str:
 
 
 class CacheEntry:
-    """One bound generated kernel: executable module + its constant pool."""
+    """One bound generated kernel: executable module + its constant pool,
+    plus the group records its kernel counters replay from."""
 
-    __slots__ = ("key", "template", "version", "source", "module", "consts")
+    __slots__ = (
+        "key", "template", "version", "source", "module", "consts", "counters"
+    )
 
     def __init__(
         self,
@@ -65,6 +71,7 @@ class CacheEntry:
         source: str,
         module: ModuleType,
         consts: list,
+        counters: list[GroupRecord],
     ) -> None:
         self.key = key
         self.template = template
@@ -72,6 +79,7 @@ class CacheEntry:
         self.source = source
         self.module = module
         self.consts = consts
+        self.counters = counters
 
     def run(self, q, k, v):
         return self.module.run(q, k, v, self.consts)
@@ -142,6 +150,7 @@ class GeneratedCodeCache:
         version: int,
         source: str,
         consts: list[np.ndarray],
+        counters: list[GroupRecord],
     ) -> None:
         """Write ``<digest>.py`` + sidecar + consts (atomic renames)."""
         if self.cache_dir is None:
@@ -152,6 +161,7 @@ class GeneratedCodeCache:
             "template": template,
             "version": int(version),
             "n_consts": len(consts),
+            "counters": [list(rec) for rec in counters],
             "key": key.to_dict(),
         }
         if consts:
@@ -170,14 +180,14 @@ class GeneratedCodeCache:
 
     def load_disk(
         self, digest: str, template: str, version: int
-    ) -> tuple[str, list[np.ndarray], dict[str, Any]] | None:
-        """Return verified ``(source, consts, meta)`` or ``None``.
+    ) -> tuple[str, list[np.ndarray], list[GroupRecord], dict[str, Any]] | None:
+        """Return verified ``(source, consts, counters, meta)`` or ``None``.
 
         Rejects — and deletes, so the slot regenerates cleanly — any entry
-        whose sidecar is missing/unreadable, whose recorded hash does not
-        match the actual bytes (corruption), whose template version differs
-        from the current emission (staleness), or whose constant pool is
-        missing or short.
+        whose sidecar is missing/unreadable or carries no group records,
+        whose recorded hash does not match the actual bytes (corruption),
+        whose template version differs from the current emission
+        (staleness), or whose constant pool is missing or short.
         """
         src_path, meta_path = self.source_path(digest), self.meta_path(digest)
         if src_path is None or not src_path.exists():
@@ -192,6 +202,7 @@ class GeneratedCodeCache:
             meta.get("sha256") != source_hash(source)
             or meta.get("template") != template
             or int(meta.get("version", -1)) != int(version)
+            or "counters" not in meta
         ):
             self._reject(digest)
             return None
@@ -205,7 +216,8 @@ class GeneratedCodeCache:
                 self._reject(digest)
                 return None
         self.hits_disk += 1
-        return source, consts, meta
+        counters = [GroupRecord(*rec) for rec in meta["counters"]]
+        return source, consts, counters, meta
 
     def _reject(self, digest: str) -> None:
         self.rejected += 1

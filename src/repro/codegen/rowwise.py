@@ -1,16 +1,16 @@
 """Rowwise plan-to-code specializer.
 
-Emits one module per (mask, geometry): the vectorized backend's 64-row
-grouping, dense-range-vs-gather split, and power-of-two length bucketing
-are all decided at emission time from the element CSR, leaving straight-line
-NumPy with literal slice bounds, baked bias constants, and pre-gathered
+Emits one module per (mask, geometry): 64-row grouping, the
+dense-range-vs-gather split, and power-of-two length bucketing are all
+decided at emission time from the element CSR, leaving straight-line NumPy
+with literal slice bounds, baked bias constants, and pre-gathered
 index/padding tables.  Dead branches go away: the bias add is skipped for
 full-dense row ranges, padding-lane masking is skipped for exact buckets,
 and chunk loops collapse when one chunk covers the axis.
 
-The emitted arithmetic mirrors ``RowWiseKernel._run_vectorized`` /
-``_gather_buckets`` operation for operation — outputs agree with both
-existing backends at the FP16 noise floor.
+The emitted arithmetic computes the same masked softmax as
+``RowWiseKernel._run_loop`` in a different summation order; outputs agree
+with the loop oracle at the FP16 noise floor.
 """
 
 from __future__ import annotations
@@ -20,15 +20,31 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.codegen.emit import IndentedBuffer
-from repro.codegen.templates import GeneratedSource, module_header, register_template
+from repro.codegen.templates import (
+    GeneratedSource,
+    GroupRecord,
+    module_header,
+    register_template,
+)
 from repro.mha.kernel import GATHER_CHUNK_ELEMS
-from repro.mha.rowwise import DENSE_RANGE_FACTOR, ROW_GROUP
 
 if TYPE_CHECKING:  # annotation-only: the plan layer never runs at emit time
     from repro.plan.symbolic import GuardRecorder
 
 #: Bump when the emitted code changes shape (see blockwise counterpart).
 ROWWISE_TEMPLATE_VERSION = 1
+
+#: Row grouping: consecutive non-empty rows are emitted ``ROW_GROUP`` at a
+#: time; a group takes the no-gather contiguous-slice path when its
+#: attended columns span at most ``DENSE_RANGE_FACTOR`` times the longest
+#: row's nnz (or the head size, for tiny rows) — the host-side mirror of
+#: the kernel's coalesced-vs-scattered load split.  The factor is large
+#: because a dense-range column costs a few streamed-BLAS/exp nanoseconds
+#: while a gathered lane costs two ``head_size``-vector fancy gathers at
+#: ~2.5 GB/s (~200 ns): computing 16x more masked-out columns is still
+#: cheaper than gathering the sparse ones.  Measured crossover is near 16.
+ROW_GROUP = 64
+DENSE_RANGE_FACTOR = 16
 
 
 def specialize_rowwise(
@@ -57,6 +73,7 @@ def specialize_rowwise(
 
     buf = IndentedBuffer()
     consts: list[np.ndarray] = []
+    counters: list[GroupRecord] = []
 
     def const(arr: np.ndarray) -> str:
         consts.append(arr)
@@ -104,20 +121,24 @@ def specialize_rowwise(
             if hi - lo > DENSE_RANGE_FACTOR * max(longest, d):
                 scattered.append(np.arange(a, b))
                 continue
-            _emit_dense_group(
-                buf, const, mask, nonempty[a:b], a // ROW_GROUP, lo, hi, n_bh,
-                sym,
+            counters.append(
+                _emit_dense_group(
+                    buf, const, mask, nonempty[a:b], a // ROW_GROUP, lo, hi,
+                    n_bh, sym,
+                )
             )
 
         for sel in scattered:
-            _emit_gather_buckets(
-                buf, const, row_ptr, col_idx, nonempty[sel], lens[sel], n_bh, d,
-                sym,
+            counters.extend(
+                _emit_gather_buckets(
+                    buf, const, row_ptr, col_idx, nonempty[sel], lens[sel],
+                    n_bh, d, sym,
+                )
             )
 
         buf.writeline("return out")
     return GeneratedSource(
-        "rowwise", ROWWISE_TEMPLATE_VERSION, buf.getvalue(), consts
+        "rowwise", ROWWISE_TEMPLATE_VERSION, buf.getvalue(), consts, counters
     )
 
 
@@ -139,7 +160,7 @@ def _emit_dense_group(
     hi: int,
     n_bh: int,
     sym: "GuardRecorder | None" = None,
-) -> None:
+) -> GroupRecord:
     """Contiguous-slice path: one dense masked softmax-matmul per group."""
     bias = np.where(
         mask[rows_g, lo:hi], np.float32(0.0), np.float32(-np.inf)
@@ -182,6 +203,7 @@ def _emit_dense_group(
         with buf.indent():
             buf.writeline(f"gs = slice(g0, g0 + {g_chunk})")
             body("gs")
+    return GroupRecord("dense_range", chunk=g_chunk)
 
 
 def _emit_gather_buckets(
@@ -194,8 +216,9 @@ def _emit_gather_buckets(
     n_bh: int,
     d: int,
     sym: "GuardRecorder | None" = None,
-) -> None:
+) -> list[GroupRecord]:
     """Padded-gather fallback: pow2 length buckets, indices baked as consts."""
+    records: list[GroupRecord] = []
     caps = np.int64(1) << np.ceil(np.log2(lens)).astype(np.int64)
     for cap in np.unique(caps):
         in_bucket = caps == cap
@@ -247,6 +270,13 @@ def _emit_gather_buckets(
             with buf.indent():
                 buf.writeline(f"rs = slice(r0, r0 + {row_chunk})")
                 body("rs")
+        records.append(
+            GroupRecord(
+                "gather", cap=int(cap), rows=n_b, chunk=int(row_chunk),
+                lanes=n_b * int(cap),
+            )
+        )
+    return records
 
 
 register_template("rowwise", ROWWISE_TEMPLATE_VERSION, specialize_rowwise)

@@ -14,11 +14,29 @@ on disk and in memory — instead of silently executing stale code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.core.errors import ConfigError
+
+
+class GroupRecord(NamedTuple):
+    """One emitted group's lowering decision, replayed as kernel counters.
+
+    ``path`` names the lowering (``dense``/``banded``/``gather`` blockwise,
+    ``dense_range``/``gather`` rowwise).  ``chunk`` is the chunk size of
+    the group's loop — over the bucket's ``rows`` when it is a row bucket
+    (``rows > 0``), else over batch*heads — and 0 when the group runs as
+    one call.  ``cap`` labels capacity buckets; ``lanes`` counts the K/V
+    vectors the group gathers per batch*head (0 when it gathers nothing).
+    """
+
+    path: str
+    cap: int = 0
+    rows: int = 0
+    chunk: int = 0
+    lanes: int = 0
 
 
 @dataclass
@@ -28,13 +46,15 @@ class GeneratedSource:
     ``source`` is self-contained Python defining ``run(q, k, v, consts)``;
     ``consts`` is the positional constant pool that function indexes (kept
     out of the text so modules stay small and byte-stable on disk — the
-    pool is rebuilt deterministically at bind time).
+    pool is rebuilt deterministically at bind time).  ``counters`` holds
+    one :class:`GroupRecord` per emitted group, in emission order.
     """
 
     template: str
     version: int
     source: str
     consts: list[np.ndarray] = field(default_factory=list)
+    counters: list[GroupRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ Storage follows the paper exactly:
   kernel iterates.  ``load_kind``/``load_mask_idx`` run parallel to
   ``load_col_idx`` so one pass yields everything the kernel needs.
 
-On top of the CSR view, ``from_dense`` eagerly builds a *flat COO* view for
-the vectorized execution backend: ``load_block_row`` records each valid
-block's block-row (so one gather fetches every Q/K/V tile at once), and the
-``seg_*`` arrays describe the non-empty block-row segments of the flat block
-axis (``seg_starts`` feeds ``np.{maximum,add}.reduceat`` for the segmented
-online softmax, ``seg_id`` broadcasts per-segment statistics back to blocks,
-``seg_block_rows`` scatters segment results into output rows).
+On top of the CSR view, ``from_dense`` eagerly builds a *flat COO* view the
+codegen specializer plans from: ``load_block_row`` records each valid
+block's block-row, and the ``seg_*`` arrays describe the non-empty
+block-row segments of the flat block axis (``seg_starts`` is where each
+row's run of blocks starts, ``seg_id`` maps blocks to segments,
+``seg_block_rows`` maps segments to output rows); ``concat_groups()``
+buckets those segments for the generated modules.
 ``part_bias`` is the deduplicated PART-mask stack as an additive FP32 bias
 (``0`` attended / ``-inf`` masked), ready to add onto score tiles.
 """
@@ -79,7 +79,7 @@ class BlockSparseMask:
     load_kind: np.ndarray       # parallel to load_col_idx, BlockKind values
     load_mask_idx: np.ndarray   # parallel; -1 for FULL blocks
 
-    # Flat COO view (vectorized execution backend; built by from_dense).
+    # Flat COO view (read by the codegen specializer; built by from_dense).
     load_block_row: np.ndarray  # parallel to load_col_idx: block-row index
     seg_starts: np.ndarray      # flat offsets of each non-empty block row
     seg_block_rows: np.ndarray  # block-row index of each segment
@@ -382,7 +382,7 @@ class BlockSparseMask:
         """Device bytes occupied by the index arrays and mask stack.
 
         The flat-COO / segment arrays are host-side execution machinery for
-        the vectorized functional backend and deliberately not counted: a
+        the functional codegen backend and deliberately not counted: a
         real device kernel consumes only the CSR views priced here.
         """
         return int(

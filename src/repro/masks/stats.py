@@ -45,6 +45,22 @@ def sparsity_ratio(mask: np.ndarray) -> float:
     return float(1.0 - mask.mean())
 
 
+def row_rises(mask: np.ndarray) -> np.ndarray:
+    """Per-row count of False->True steps (a set first column counts).
+
+    A row's True entries form one contiguous run exactly when its count
+    is 1; an empty row counts 0.
+
+    >>> import numpy as np
+    >>> row_rises(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=bool))
+    array([1, 2, 0])
+    """
+    padded = np.concatenate(
+        [np.zeros((mask.shape[0], 1), dtype=bool), mask], axis=1
+    )
+    return ((~padded[:, :-1]) & padded[:, 1:]).sum(axis=1)
+
+
 def contiguous_row_fraction(mask: np.ndarray) -> float:
     """Fraction of non-empty rows whose attended set is one contiguous run.
 
@@ -56,9 +72,7 @@ def contiguous_row_fraction(mask: np.ndarray) -> float:
     >>> contiguous_row_fraction(np.tril(np.ones((4, 4), dtype=bool)))
     1.0
     """
-    m = _validate_mask(mask)
-    padded = np.concatenate([np.zeros((m.shape[0], 1), dtype=bool), m], axis=1)
-    rises = ((~padded[:, :-1]) & padded[:, 1:]).sum(axis=1)
+    rises = row_rises(_validate_mask(mask))
     nonempty = rises > 0
     if not nonempty.any():
         return 1.0
@@ -67,13 +81,7 @@ def contiguous_row_fraction(mask: np.ndarray) -> float:
 
 def _runs_are_contiguous(mat: np.ndarray) -> bool:
     """True when every row's True entries form at most one contiguous run."""
-    # A row has one run iff the number of 0->1 transitions (including a
-    # leading one) is <= 1.
-    padded = np.concatenate(
-        [np.zeros((mat.shape[0], 1), dtype=bool), mat], axis=1
-    )
-    rises = (~padded[:, :-1]) & padded[:, 1:]
-    return bool((rises.sum(axis=1) <= 1).all())
+    return bool((row_rises(mat) <= 1).all())
 
 
 def classify_distribution(mask: np.ndarray) -> tuple[str, str]:

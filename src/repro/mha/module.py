@@ -46,7 +46,7 @@ class UnifiedMHA:
         tau: float | None = None,
         mode: str = "model",
         cache: PlanCache | None = None,
-        exec_backend: str = "vectorized",
+        exec_backend: str = "codegen",
     ):
         self.spec = spec
         self.tau = tau

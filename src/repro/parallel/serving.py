@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.deprecation import warn_deprecated_kw
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
@@ -67,12 +66,11 @@ _UNSET = object()
 class FleetConfig:
     """Everything fleet-shaped about a serving deployment, in one object.
 
-    Replaces the loose ``shard=``/``route=``/``overlap=``/
-    ``micro_batches=``/``contention=`` keywords that used to ride on each
-    engine constructor (the old spellings still work through deprecation
-    shims).  The autoscaling fields only matter with ``autoscale=True``:
-    the data-parallel width then floats between ``min_replicas`` and
-    ``max_replicas``, re-evaluated every ``scale_window_s`` of simulated
+    ``shard`` and ``route`` also have plain short forms on
+    :class:`ShardedServingEngine`.  The autoscaling fields only matter
+    with ``autoscale=True``: the data-parallel width then floats between
+    ``min_replicas`` and ``max_replicas``, re-evaluated every
+    ``scale_window_s`` of simulated
     time against the measured per-replica capacity, with scale-ups
     landing ``scale_up_latency_s`` after the decision (scale-downs are
     immediate) — see :class:`AutoscalingServingEngine`.
@@ -131,29 +129,18 @@ class FleetConfig:
             )
 
 
-def _resolve_fleet(fleet, plain: dict, deprecated: dict, stacklevel: int = 3):
-    """Fold an engine's legacy keywords into one :class:`FleetConfig`.
-
-    ``plain`` holds still-supported short forms (``shard=``/``route=``),
-    ``deprecated`` the keywords the API redesign retires; either kind
-    conflicts with an explicit ``fleet=``.  Deprecated spellings warn
-    (once per process) at the caller's line.
-    """
-    plain_given = {k: v for k, v in plain.items() if v is not _UNSET}
-    dep_given = {k: v for k, v in deprecated.items() if v is not _UNSET}
+def _resolve_fleet(fleet, plain: dict):
+    """Fold an engine's ``shard=``/``route=`` short forms into one
+    :class:`FleetConfig`; either conflicts with an explicit ``fleet=``."""
+    given = {k: v for k, v in plain.items() if v is not _UNSET}
     if fleet is not None:
-        for name in (*plain_given, *dep_given):
-            hint = " (deprecated)" if name in dep_given else ""
+        for name in given:
             raise ConfigError(
-                f"got both fleet= and the {name!r} keyword{hint}; "
+                f"got both fleet= and the {name!r} keyword; "
                 f"set {name} on the FleetConfig"
             )
         return fleet
-    for name in sorted(dep_given):
-        warn_deprecated_kw(
-            name, f"fleet=FleetConfig({name}=...)", stacklevel=stacklevel
-        )
-    return FleetConfig(**plain_given, **dep_given)
+    return FleetConfig(**given)
 
 
 class TPServingEngine(ServingEngine):
@@ -170,24 +157,11 @@ class TPServingEngine(ServingEngine):
         plan_cache: PlanCache | None = None,
         lane_base: int = 0,
         label: str = "",
-        overlap: "bool | object" = _UNSET,
-        micro_batches: "int | None | object" = _UNSET,
-        contention: "float | object" = _UNSET,
         fleet: FleetConfig | None = None,
     ):
         # A replica's layout is the positional ``shard``; the fleet config
-        # supplies the overlap/pipeline pricing knobs.  The loose
-        # ``overlap``/``micro_batches``/``contention`` keywords are
-        # deprecated shims for ``fleet=``.
-        fleet = _resolve_fleet(
-            fleet,
-            plain={},
-            deprecated={
-                "overlap": overlap,
-                "micro_batches": micro_batches,
-                "contention": contention,
-            },
-        )
+        # supplies the overlap/pipeline pricing knobs.
+        fleet = fleet if fleet is not None else FleetConfig()
         shard = ShardConfig.parse(shard)
         full = config or ServingConfig()
         if full.heads % shard.tp != 0:
@@ -269,15 +243,11 @@ class TPServingEngine(ServingEngine):
         return t + self._collective_s(self._last_prefill_rows), n
 
     def _decode_time(self, members, rng):
-        t, n = super()._decode_time(members, rng)
-        return t + self._collective_s(len(members)), n
-
-    def _decode_time_cached(self, members, rng):
         # Speculative verify forwards flow through here too, so their
         # k+1-rows-per-member collectives are charged on the expanded row
         # count — while the draft model (priced via the *base* class in
         # ``_draft_forward_time``) stays rank-local and pays none.
-        t, n = super()._decode_time_cached(members, rng)
+        t, n = super()._decode_time(members, rng)
         return t + self._collective_s(len(members)), n
 
     def _prefill_collective_s(self, rows):
@@ -629,21 +599,10 @@ class ShardedServingEngine:
         max_batch_tokens: int = 65536,
         tracer: Tracer | None = None,
         plan_cache: PlanCache | None = None,
-        overlap: "bool | object" = _UNSET,
-        micro_batches: "int | None | object" = _UNSET,
-        contention: "float | object" = _UNSET,
         fleet: FleetConfig | None = None,
         slo: SLOPolicy | None = None,
     ):
-        fleet = _resolve_fleet(
-            fleet,
-            plain={"shard": shard, "route": route},
-            deprecated={
-                "overlap": overlap,
-                "micro_batches": micro_batches,
-                "contention": contention,
-            },
-        )
+        fleet = _resolve_fleet(fleet, plain={"shard": shard, "route": route})
         self.spec = spec
         self.policy = "slo" if slo is not None else policy
         self.config = config or ServingConfig()

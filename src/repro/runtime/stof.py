@@ -58,7 +58,7 @@ class STOFEngine(Engine):
         stage1_samples: int = 2,
         stage2_rounds: int = 3,
         stage2_total: int = 16,
-        exec_backend: str = "vectorized",
+        exec_backend: str = "codegen",
     ):
         self.use_mha_module = use_mha_module
         self.use_fusion_module = use_fusion_module

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
 from repro.gpu.cost import estimate_kernel_time
@@ -35,6 +33,7 @@ from repro.mha.module import UnifiedMHA
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel, plan_rowwise_launches
 from repro.masks.patterns import causal_mask, make_pattern
+from repro.masks.stats import row_rises
 from repro.obs.metrics import current_metrics
 from repro.obs.tracer import Tracer, current_tracer
 from repro.plan import (
@@ -222,13 +221,26 @@ class ServingEngine:
             )
         rows = tr.full_mask(rng)[cached:ctx, :ctx]
         self._last_prefill_rows = ctx - cached
-        nnz = int(rows.sum())
-        padded = np.concatenate(
-            [np.zeros((rows.shape[0], 1), dtype=bool), rows], axis=1
+        rises = row_rises(rows)
+        return self._price_rows(
+            ctx - cached,
+            ctx,
+            int(rows.sum()),
+            int((rises > 0).sum()),
+            int((rises == 1).sum()),
         )
-        rises = ((~padded[:, :-1]) & padded[:, 1:]).sum(axis=1)
-        nonempty = int((rises > 0).sum())
-        single = int((rises == 1).sum())
+
+    def _price_rows(
+        self, seq_len: int, kv_seq_len: int, nnz: int, nonempty: int, single: int
+    ) -> tuple[float, int]:
+        """(seconds, launches) of ``seq_len`` row-wise query rows over
+        ``kv_seq_len`` keys, for all layers.
+
+        The row-wise kernel prices a mask only through its ``nnz`` and the
+        share of non-empty rows attending one contiguous run
+        (``single / nonempty``), so callers pass those statistics instead
+        of a mask.
+        """
         contig = 1.0 if nonempty == 0 else float(single) / float(nonempty)
         num_warps = self._decode_kernel.default_params(None, self.spec)["num_warps"]
         seconds = 0.0
@@ -237,8 +249,8 @@ class ServingEngine:
             self.spec,
             num_warps=num_warps,
             n_bh=self.config.heads,
-            seq_len=ctx - cached,
-            kv_seq_len=ctx,
+            seq_len=seq_len,
+            kv_seq_len=kv_seq_len,
             head_size=self.config.head_size,
             nnz=nnz,
             contiguous_fraction=contig,
@@ -251,38 +263,7 @@ class ServingEngine:
             launches * self.config.n_layers,
         )
 
-    def _decode_time(
-        self, members: list[tuple[RequestTracker, int]], rng: RngStream
-    ) -> tuple[float, int]:
-        """Price one packed decode step: one row per member, block-diagonal
-        over each member's own KV run."""
-        if not members:
-            return 0.0, 0
-        rows = [tr.full_mask(rng)[pos, : pos + 1] for tr, pos in members]
-        kv_lens = [len(r) for r in rows]
-        total_kv = sum(kv_lens)
-        mask = np.zeros((len(rows), total_kv), dtype=bool)
-        offset = 0
-        for i, row in enumerate(rows):
-            mask[i, offset : offset + len(row)] = row
-            offset += len(row)
-        problem = AttentionProblem(
-            batch=1,
-            heads=self.config.heads,
-            seq_len=len(rows),
-            head_size=self.config.head_size,
-            mask=mask,
-            pattern="serving-packed",
-            kv_seq_len=total_kv,
-        )
-        seconds = 0.0
-        launches = 0
-        for cost, cfg in self._decode_kernel.plan(problem, self.spec):
-            seconds += estimate_kernel_time(self.spec, cost, cfg).total
-            launches += cost.launches
-        return seconds * self.config.n_layers, launches * self.config.n_layers
-
-    # -------------------------------------------------------- cached decode
+    # ---------------------------------------------------------------- decode
 
     def _decode_stats(
         self, tr: RequestTracker, pos: int, rng: RngStream
@@ -299,16 +280,23 @@ class ServingEngine:
         cache *key*, never the cost.  With
         :attr:`ServingConfig.symbolic_plan_keys`, eligible requests of
         *different lengths* share the same families (see
-        ``_decode_base``).
+        ``_decode_base``).  With the plan cache off, the same bucket is
+        built on every call and nothing is stored.
         """
         width = self.config.plan_bucket_tokens
         bucket, offset = divmod(pos, width)
+        if not self.config.use_plan_cache:
+            nnz, rises = self._decode_bucket_stats(tr, bucket, rng)
+            return nnz[offset], rises[offset]
         fam = tr._plan_keys.get(bucket)
         if fam is None:
             fam = self._decode_family(tr, bucket, pos, rng)
             tr._plan_keys[bucket] = fam
         nnz, rises = self.plan_cache.get_or_build(
-            fam, lambda: self._decode_bucket_stats(tr, fam, bucket, rng)
+            fam,
+            lambda: self._decode_bucket_stats(
+                tr, bucket, rng, shared=fam.base.mask.startswith("sym:")
+            ),
         )
         return nnz[offset], rises[offset]
 
@@ -374,17 +362,17 @@ class ServingEngine:
         )
 
     def _decode_bucket_stats(
-        self, tr: RequestTracker, fam: SymbolicPlanKey, bucket: int, rng: RngStream
+        self, tr: RequestTracker, bucket: int, rng: RngStream, shared: bool = False
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(nnz, rise count) per row of one ``plan_bucket_tokens`` chunk.
 
-        Shared (``sym:``) families rebuild the mask at the *canonical*
+        ``shared`` (``sym:``) families rebuild the mask at the *canonical*
         size for the bucket — just large enough to contain its rows — so
         the cached tuples are a function of the family key alone, never
         of whichever request happened to build them first.
         """
         width = self.config.plan_bucket_tokens
-        if fam.base.mask.startswith("sym:"):
+        if shared:
             size = (bucket + 1) * width
             full = make_pattern(
                 tr.request.pattern, size, **(tr.pinned_pattern_params() or {})
@@ -394,30 +382,25 @@ class ServingEngine:
         rows = full[bucket * width : (bucket + 1) * width]
         # The mask is causal, so row p is all-False beyond column p:
         # whole-row statistics equal the [:p+1] prefix's exactly.
-        padded = np.concatenate(
-            [np.zeros((rows.shape[0], 1), dtype=bool), rows], axis=1
-        )
-        rises = ((~padded[:, :-1]) & padded[:, 1:]).sum(axis=1)
-        nnz = rows.sum(axis=1)
         return (
-            tuple(int(x) for x in nnz),
-            tuple(int(x) for x in rises),
+            tuple(int(x) for x in rows.sum(axis=1)),
+            tuple(int(x) for x in row_rises(rows)),
         )
 
-    def _decode_time_cached(
+    def _decode_time(
         self, members: list[tuple[RequestTracker, int]], rng: RngStream
     ) -> tuple[float, int]:
-        """`_decode_time` composed from cached per-row statistics.
+        """Price one packed decode step: one row per member, block-diagonal
+        over each member's own KV run.
 
         The row-wise kernel prices a mask only through its nnz and its
         contiguous-row fraction, and the packed block-diagonal layout
-        preserves both per row, so the packed problem's plan is recomposed
-        here bit-identically — without materializing the packed mask or
-        re-scanning it on every engine step.
+        preserves both per row, so the step is composed from per-row
+        statistics (:meth:`_decode_stats`) without materializing the
+        packed mask.
         """
         if not members:
             return 0.0, 0
-        cfg = self.config
         total_kv = 0
         nnz = 0
         nonempty = 0
@@ -430,25 +413,7 @@ class ServingEngine:
                 nonempty += 1
                 if row_rises == 1:
                     single += 1
-        contig = 1.0 if nonempty == 0 else float(single) / float(nonempty)
-        num_warps = self._decode_kernel.default_params(None, self.spec)["num_warps"]
-        launch_list = plan_rowwise_launches(
-            self.spec,
-            num_warps=num_warps,
-            n_bh=cfg.heads,                 # packed problem has batch=1
-            seq_len=len(members),
-            kv_seq_len=total_kv,
-            head_size=cfg.head_size,
-            nnz=nnz,
-            contiguous_fraction=contig,
-            kernel_name=self._decode_kernel.name,
-        )
-        seconds = 0.0
-        launches = 0
-        for cost, launch_cfg in launch_list:
-            seconds += estimate_kernel_time(self.spec, cost, launch_cfg).total
-            launches += cost.launches
-        return seconds * cfg.n_layers, launches * cfg.n_layers
+        return self._price_rows(len(members), total_kv, nnz, nonempty, single)
 
     # ------------------------------------------------- workload-specific pricing
 
@@ -550,8 +515,6 @@ class ServingEngine:
         per rank (vLLM/TRT-LLM practice), so the draft pays compute but
         never tensor-parallel collectives.
         """
-        if self.config.use_plan_cache:
-            return ServingEngine._decode_time_cached(self, members, rng)
         return ServingEngine._decode_time(self, members, rng)
 
     def _spec_decode_step(
@@ -585,10 +548,7 @@ class ServingEngine:
         expanded = [
             (tr, pos + j) for tr, pos, k in proposals for j in range(k + 1)
         ]
-        if self.config.use_plan_cache:
-            t, n = self._decode_time_cached(expanded, rng)
-        else:
-            t, n = self._decode_time(expanded, rng)
+        t, n = self._decode_time(expanded, rng)
         seconds += t
         launches += n
         emits: list[tuple[RequestTracker, int]] = []
@@ -894,10 +854,7 @@ class ServingEngine:
             if cfg.spec_decode is not None and members:
                 decode_s, n, emits = self._spec_decode_step(members, mask_rng)
             else:
-                if cfg.use_plan_cache:
-                    decode_s, n = self._decode_time_cached(members, mask_rng)
-                else:
-                    decode_s, n = self._decode_time(members, mask_rng)
+                decode_s, n = self._decode_time(members, mask_rng)
                 emits = [(tr, 1) for tr, _pos in members]
             launches += n
             decode_comm_s = self._step_comm_s - prefill_comm_s

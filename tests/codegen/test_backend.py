@@ -15,6 +15,7 @@ from repro.codegen.templates import get_template, register_template, template_na
 from repro.core.fp16 import fp16_allclose
 from repro.gpu.specs import A100
 from repro.masks.bsr import BlockSparseMask
+from repro.masks.patterns import make_pattern
 from repro.mha.blockwise import BlockWiseKernel
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
@@ -120,6 +121,17 @@ def test_dense_lowering_on_full_dense_mask():
     assert "lowering=dense" in gen.source
     assert "as_strided" not in gen.source
     assert gen.consts == []  # full-dense: the 0/-inf bias is dead code
+
+
+def test_512_square_mask_takes_sparse_lowering():
+    """The dense lowering's size bound is exclusive: a 512x512 score tile
+    (exactly ``DENSE_LOWER_MAX_ELEMS``) stays on the sparse traversal,
+    which measured faster than dense on every 512 cell timed."""
+    mask = make_pattern("longformer", 512)
+    bsr = BlockSparseMask.from_dense(mask, 64, 64)
+    gen = specialize_blockwise(bsr, 12, "z" * 64, "longformer", mask=mask)
+    assert "lowering=dense" not in gen.source
+    assert {rec.path for rec in gen.counters} <= {"banded", "gather"}
 
 
 def test_sparse_lowering_on_narrow_band():

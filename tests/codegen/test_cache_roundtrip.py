@@ -11,6 +11,7 @@ from repro.gpu.specs import A100
 from repro.mha.blockwise import BlockWiseKernel
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer, use_tracer
 
 KERNELS = [RowWiseKernel, BlockWiseKernel]
@@ -23,21 +24,32 @@ def make_problem(rng, tag="roundtrip"):
     )
 
 
-def run_traced(cls, prob, params=None):
+def run_traced(cls, prob, params=None, metrics=None):
     kernel = cls(exec_backend="codegen")
     p = params or kernel.default_params(prob, A100)
     tracer = Tracer()
-    with use_tracer(tracer):
+    registry = MetricsRegistry() if metrics is None else metrics
+    with use_tracer(tracer), use_metrics(registry):
         out = kernel.run(prob, p)
     return out, tracer
+
+
+def kernel_series(metrics):
+    """The ``mha.*`` kernel counters one registry collected."""
+    return {
+        (name, labels): inst.value
+        for name, labels, kind, inst in metrics.collect()
+        if name.startswith("mha.")
+    }
 
 
 @pytest.mark.parametrize("cls", KERNELS, ids=KERNEL_IDS)
 def test_warm_start_is_byte_identical_with_zero_emission(cls, tmp_path, rng):
     """Second process (simulated by a fresh cache over the same directory):
     the module loads from disk byte-for-byte and nothing is re-emitted."""
+    cold_metrics, warm_metrics = MetricsRegistry(), MetricsRegistry()
     with use_codegen_cache(tmp_path) as cache:
-        out_cold, tr_cold = run_traced(cls, make_problem(rng))
+        out_cold, tr_cold = run_traced(cls, make_problem(rng), metrics=cold_metrics)
         assert len(tr_cold.find(name="codegen.emit")) == 1
         assert [s.args["outcome"] for s in tr_cold.find(name="codegen.cache")] == [
             "miss"
@@ -51,7 +63,7 @@ def test_warm_start_is_byte_identical_with_zero_emission(cls, tmp_path, rng):
 
     # Fresh problem object too: the per-problem memo must not leak across.
     with use_codegen_cache(tmp_path) as cache2:
-        out_warm, tr_warm = run_traced(cls, make_problem(rng))
+        out_warm, tr_warm = run_traced(cls, make_problem(rng), metrics=warm_metrics)
         assert tr_warm.find(name="codegen.emit") == []
         assert [s.args["outcome"] for s in tr_warm.find(name="codegen.cache")] == [
             "hit-disk"
@@ -61,6 +73,10 @@ def test_warm_start_is_byte_identical_with_zero_emission(cls, tmp_path, rng):
         assert cache2.stats()["hits_disk"] == 1
         assert cache2.stats()["misses"] == 0
     assert np.array_equal(out_cold, out_warm)
+    # The sidecar carries the group records: a disk hit reports the same
+    # kernel counters as the emitting run.
+    assert kernel_series(cold_metrics)
+    assert kernel_series(warm_metrics) == kernel_series(cold_metrics)
 
 
 @pytest.mark.parametrize("cls", KERNELS, ids=KERNEL_IDS)

@@ -3,7 +3,7 @@
 The concrete codegen path (flag off) is pinned byte-identical elsewhere
 (``test_cache_roundtrip`` digests); these tests cover the opt-in family
 path: sharing across admitted shapes, splitting on guard failure, the
-disk family index, and output equality against the vectorized backend.
+disk family index, and output equality against the loop oracle.
 """
 
 import numpy as np
@@ -39,9 +39,9 @@ def make_problem(rng, batch, heads, pattern="bigbird", fork="shared"):
 
 def run_both(cls, prob):
     cg = cls(exec_backend="codegen")
-    vec = cls(exec_backend="vectorized")
+    loop = cls(exec_backend="loop")
     params = cg.default_params(prob, A100)
-    return cg.run(prob, params), vec.run(prob, params)
+    return cg.run(prob, params), loop.run(prob, params)
 
 
 def test_flag_defaults_off(monkeypatch):
@@ -72,8 +72,8 @@ def test_shapes_in_one_guard_region_share_a_module(rng):
         for cls in (BlockWiseKernel, RowWiseKernel):
             for batch, heads in ((1, 2), (2, 4), (4, 8)):
                 prob = make_problem(rng, batch, heads)
-                out_cg, out_vec = run_both(cls, prob)
-                assert fp16_allclose(out_cg, out_vec)
+                out_cg, out_loop = run_both(cls, prob)
+                assert fp16_allclose(out_cg, out_loop)
         stats = cache.stats()
         # 6 problems, 2 templates: one emitted module per template, the
         # other 4 binds are family hits on the same guard region.
@@ -88,10 +88,10 @@ def test_guard_failure_splits_never_reuses(rng):
     with use_codegen_cache() as cache, use_symbolic_codegen():
         small = make_problem(rng, 1, 2)
         large = make_problem(rng, 1, big)
-        out_s, vec_s = run_both(BlockWiseKernel, small)
-        out_l, vec_l = run_both(BlockWiseKernel, large)
-        assert fp16_allclose(out_s, vec_s)
-        assert fp16_allclose(out_l, vec_l)
+        out_s, loop_s = run_both(BlockWiseKernel, small)
+        out_l, loop_l = run_both(BlockWiseKernel, large)
+        assert fp16_allclose(out_s, loop_s)
+        assert fp16_allclose(out_l, loop_l)
         stats = cache.stats()
         assert stats["family_splits"] == 1, stats
         assert stats["entries"] == 2, stats
@@ -146,10 +146,10 @@ def test_corrupt_family_index_regenerates(rng, tmp_path):
         out = BlockWiseKernel(exec_backend="codegen").run(
             prob, BlockWiseKernel().default_params(prob, A100)
         )
-        vec = BlockWiseKernel(exec_backend="vectorized").run(
+        loop = BlockWiseKernel(exec_backend="loop").run(
             prob, BlockWiseKernel().default_params(prob, A100)
         )
-        assert fp16_allclose(out, vec)
+        assert fp16_allclose(out, loop)
         stats = warm.stats()
         assert stats["rejected"] == 1, stats
         assert stats["misses"] == 1, stats  # re-emitted cleanly
@@ -162,8 +162,8 @@ def test_banded_masks_record_no_guards(rng):
     with use_codegen_cache() as cache, use_symbolic_codegen():
         for heads in (2, 64, 1024):
             prob = make_problem(rng, 1, heads, pattern="sliding_window")
-            out, vec = run_both(BlockWiseKernel, prob)
-            assert fp16_allclose(out, vec)
+            out, loop = run_both(BlockWiseKernel, prob)
+            assert fp16_allclose(out, loop)
         stats = cache.stats()
         assert stats["families"] == 1, stats
         assert stats["family_splits"] == 0, stats

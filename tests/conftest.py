@@ -5,20 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.deprecation import reset as _reset_deprecations
 from repro.core.rng import RngStream
 from repro.gpu.specs import A100, RTX4090
 from repro.masks import make_pattern
 from repro.mha.problem import AttentionProblem
 from repro.models import ModelConfig, build_model
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Deprecation warnings fire once per process; without a reset the
-    first test to trigger one would suppress it for every later test."""
-    _reset_deprecations()
-    yield
 
 
 @pytest.fixture

@@ -30,13 +30,13 @@ with use_codegen_cache({cache_dir!r}) as cache:
             pattern, 1, 2, 96, 16, rng=RngStream(4000 + i), with_tensors=True
         )
         for cls in (RowWiseKernel, BlockWiseKernel):
-            vec = cls(exec_backend="vectorized")
+            loop = cls(exec_backend="loop")
             cg = cls(exec_backend="codegen")
-            params = vec.default_params(prob, A100)
+            params = cg.default_params(prob, A100)
             out_cg = cg.run(prob, params)
             assert out_cg.dtype == np.float16, (pattern, cls.__name__)
             assert np.isfinite(out_cg.astype(np.float32)).all()
-            assert fp16_allclose(out_cg, vec.run(prob, params)), (
+            assert fp16_allclose(out_cg, loop.run(prob, params)), (
                 pattern, cls.__name__)
     stats = cache.stats()
     assert stats["misses"] == len(PATTERNS) * 2, stats

@@ -59,24 +59,6 @@ def test_serve_sim_is_warning_free():
     )
 
 
-def test_deprecated_spelling_fails_under_strict_warnings():
-    """Sanity check of the harness: the deprecated alias DOES trip -W
-    error, so the silence above is meaningful."""
-    proc = subprocess.run(
-        [
-            sys.executable, "-W", "error", "-c",
-            "from repro import compile_model\n"
-            "from repro.models import ModelConfig\n"
-            "cfg = ModelConfig('smoke', 2, 0, 64, 2, 128, vocab=97)\n"
-            "compile_model(cfg, 1, 32, gpu='a100')\n",
-        ],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "DeprecationWarning" in proc.stderr
-
-
 def test_serve_facade_is_warning_free():
     run_strict(
         "from repro import FleetConfig, SLOPolicy, serve\n"

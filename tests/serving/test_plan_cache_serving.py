@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.rng import RngStream
+from repro.gpu.cost import estimate_kernel_time
 from repro.gpu.specs import get_spec
+from repro.mha.problem import AttentionProblem
 from repro.serving import (
     ServingConfig,
     ServingEngine,
@@ -36,6 +39,39 @@ def _engine(pattern: str = "causal", **cfg_kwargs) -> ServingEngine:
         make_scheduler("continuous", 8, 65536),
         ServingConfig(**cfg_kwargs),
     )
+
+
+def packed_decode_time(eng: ServingEngine, members, rng) -> tuple[float, int]:
+    """Oracle price of one decode step, from the materialized packed mask.
+
+    One row per member, block-diagonal over each member's own KV run,
+    planned by the row-wise kernel itself — the problem the engine's
+    per-row composition must reproduce bit for bit.
+    """
+    if not members:
+        return 0.0, 0
+    rows = [tr.full_mask(rng)[pos, : pos + 1] for tr, pos in members]
+    total_kv = sum(len(r) for r in rows)
+    mask = np.zeros((len(rows), total_kv), dtype=bool)
+    offset = 0
+    for i, row in enumerate(rows):
+        mask[i, offset : offset + len(row)] = row
+        offset += len(row)
+    problem = AttentionProblem(
+        batch=1,
+        heads=eng.config.heads,
+        seq_len=len(rows),
+        head_size=eng.config.head_size,
+        mask=mask,
+        pattern="serving-packed",
+        kv_seq_len=total_kv,
+    )
+    seconds = 0.0
+    launches = 0
+    for cost, cfg in eng._decode_kernel.plan(problem, eng.spec):
+        seconds += estimate_kernel_time(eng.spec, cost, cfg).total
+        launches += cost.launches
+    return seconds * eng.config.n_layers, launches * eng.config.n_layers
 
 
 class TestEquivalence:
@@ -70,7 +106,7 @@ class TestEquivalence:
         assert all(o == outcomes[0] for o in outcomes[1:])
 
     def test_decode_step_pricing_matches_legacy_path(self):
-        """_decode_time_cached recomposes _decode_time's plan exactly."""
+        """_decode_time recomposes the packed-mask plan exactly."""
         trace = _trace()
         eng = _engine()
         rng = RngStream(0)
@@ -79,8 +115,8 @@ class TestEquivalence:
 
         trackers = [RequestTracker(r) for r in trace[:6]]
         members = [(tr, tr.request.prompt_len + k) for k, tr in enumerate(trackers)]
-        cached = eng._decode_time_cached(members, mask_rng)
-        legacy = eng._decode_time(members, mask_rng)
+        cached = eng._decode_time(members, mask_rng)
+        legacy = packed_decode_time(eng, members, mask_rng)
         assert cached == legacy
 
 
@@ -93,16 +129,16 @@ class TestReuse:
 
         trackers = [RequestTracker(r) for r in _trace(n=6)]
         members = [(tr, tr.request.prompt_len) for tr in trackers]
-        eng._decode_time_cached(members, rng)
+        eng._decode_time(members, rng)
         first_misses = eng.plan_cache.stats()["misses"]
         assert first_misses > 0
 
         # Same batch, next positions: all rows sit in already-cached
         # buckets, so repricing the step is 100% replay.
         again = [(tr, pos + 1) for tr, pos in members]
-        t1 = eng._decode_time_cached(again, rng)
+        t1 = eng._decode_time(again, rng)
         assert eng.plan_cache.stats()["misses"] == first_misses
-        assert t1 == eng._decode_time(again, rng)
+        assert t1 == packed_decode_time(eng, again, rng)
 
     def test_full_run_hits_steady_state_rates(self):
         eng = _engine()

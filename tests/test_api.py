@@ -138,50 +138,35 @@ class TestPublicSurface:
 
 
 class TestLegacyKeywords:
-    def test_gpu_alias_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="'gpu' keyword"):
-            c = compile_model(TINY, 1, 32, gpu="rtx4090")
-        assert "4090" in c.prepared.spec.name
-
-    def test_pattern_alias_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="'pattern' keyword"):
-            c = compile_model(TINY, 1, 32, pattern="causal")
-        assert c is not None
-
-    def test_both_spellings_conflict(self):
-        with pytest.raises(ConfigError, match="deprecated alias"):
-            compile_model(TINY, 1, 32, mask="causal", pattern="causal")
-
     def test_canonical_does_not_warn(self, recwarn):
         compile_model(TINY, 1, 32, device="a100", mask="causal")
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_compare_engines_legacy_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            res = compare_engines(TINY, 1, 32, gpu="a100",
-                                  engines=("pytorch-native",))
-        assert "pytorch-native" in res
-
     def test_compare_engines_unknown_kwarg(self):
         with pytest.raises(TypeError):
             compare_engines(TINY, 1, 32, bogus=1)
 
-    def test_alias_warns_only_once_per_process(self, recwarn):
-        """Loops over compile_model must not spam the identical warning."""
-        compile_model(TINY, 1, 32, gpu="a100")
-        compile_model(TINY, 1, 32, gpu="a100")
-        compare_engines(TINY, 1, 32, gpu="a100", engines=("pytorch-native",))
-        dep = [w for w in recwarn.list
-               if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
+    def test_retired_spellings_raise_type_error(self):
+        """``gpu=``/``pattern=`` and the loose fleet keywords are gone:
+        passing one fails loudly instead of being renamed."""
+        from repro.gpu.specs import A100
+        from repro.parallel import ShardedServingEngine, TPServingEngine
+        from repro.serving import ServingConfig, make_scheduler
 
-    def test_warning_points_at_callers_line(self):
-        """The reported location is the user's call site, not a frame
-        inside repro (warn helpers compensate for their own frames)."""
-        with pytest.warns(DeprecationWarning) as record:
+        cfg = ServingConfig(heads=4, head_size=16, n_layers=2)
+        with pytest.raises(TypeError, match="gpu"):
             compile_model(TINY, 1, 32, gpu="a100")
-        assert record[0].filename == __file__
+        with pytest.raises(TypeError, match="pattern"):
+            compile_model(TINY, 1, 32, pattern="causal")
+        with pytest.raises(TypeError, match="gpu"):
+            compare_engines(TINY, 1, 32, gpu="a100",
+                            engines=("pytorch-native",))
+        with pytest.raises(TypeError, match="overlap"):
+            ShardedServingEngine(A100, config=cfg, overlap=False)
+        with pytest.raises(TypeError, match="contention"):
+            TPServingEngine(A100, make_scheduler("continuous"), "tp2", cfg,
+                            contention=0.5)
 
 
 class TestTraceHook:
@@ -194,7 +179,7 @@ class TestTraceHook:
 
 
 class TestFleetKeywords:
-    """The api_redesign shims: loose engine kwargs fold into FleetConfig."""
+    """The ``shard=``/``route=`` short forms fold into FleetConfig."""
 
     def _mk(self, **kwargs):
         from repro.gpu.specs import A100
@@ -206,29 +191,13 @@ class TestFleetKeywords:
             **kwargs,
         )
 
-    def test_deprecated_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="'overlap' keyword"):
-            engine = self._mk(overlap=False)
-        assert engine.fleet.overlap is False
-        with pytest.warns(DeprecationWarning, match="'contention' keyword"):
-            engine = self._mk(contention=0.5)
-        assert engine.fleet.contention == 0.5
-        with pytest.warns(DeprecationWarning, match="'micro_batches' keyword"):
-            engine = self._mk(shard="tp2pp2", micro_batches=4)
-        assert engine.fleet.micro_batches == 4
-
-    def test_warning_points_at_callers_line(self):
-        with pytest.warns(DeprecationWarning) as record:
-            self._mk(overlap=False)
-        assert record[0].filename == __file__
-
     def test_fleet_conflicts_with_any_loose_kwarg(self):
         from repro.parallel import FleetConfig
 
-        with pytest.raises(ConfigError, match="'overlap' keyword"):
-            self._mk(fleet=FleetConfig(), overlap=False)
         with pytest.raises(ConfigError, match="'shard' keyword"):
             self._mk(fleet=FleetConfig(), shard="tp2")
+        with pytest.raises(ConfigError, match="'route' keyword"):
+            self._mk(fleet=FleetConfig(), route="round-robin")
 
     def test_plain_short_forms_do_not_warn(self, recwarn):
         engine = self._mk(shard="tp2", route="round-robin")
@@ -246,19 +215,6 @@ class TestFleetKeywords:
         assert engine.fleet.contention == 0.1
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_tp_engine_shims_too(self):
-        from repro.gpu.specs import A100
-        from repro.parallel import TPServingEngine
-        from repro.serving import ServingConfig, make_scheduler
-
-        with pytest.warns(DeprecationWarning, match="'overlap' keyword"):
-            engine = TPServingEngine(
-                A100, make_scheduler("continuous"), "tp2",
-                ServingConfig(heads=4, head_size=16, n_layers=2),
-                overlap=False,
-            )
-        assert engine.overlap is False
 
 
 class TestServeFacade:

@@ -44,15 +44,13 @@ class TestParser:
 
 
 class TestDeprecatedAliases:
-    def test_pattern_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--pattern is deprecated"):
-            args = build_parser().parse_args(["mha", "--pattern", "causal"])
-        assert args.mask == "causal"
-
-    def test_gpu_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--gpu is deprecated"):
-            args = build_parser().parse_args(["mha", "--gpu", "rtx4090"])
-        assert args.device == "rtx4090"
+    def test_retired_spellings_exit_2(self, capsys):
+        """``--gpu``/``--pattern`` are gone: argparse rejects them."""
+        for argv in (["mha", "--gpu", "rtx4090"], ["mha", "--pattern", "causal"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_canonical_spellings_do_not_warn(self, recwarn):
         args = build_parser().parse_args(
@@ -62,14 +60,6 @@ class TestDeprecatedAliases:
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
-
-    def test_alias_warns_only_once_per_process(self, recwarn):
-        for _ in range(3):
-            build_parser().parse_args(["mha", "--gpu", "rtx4090"])
-        dep = [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(dep) == 1
 
 
 class TestCommands:
