@@ -68,8 +68,8 @@ def run_scenario(name: str):
 
 
 def prefix_saving(report) -> float:
-    logical = report.sharded.kv_peak_logical_pages
-    return 1.0 - report.sharded.kv_peak_used_pages / logical if logical else 0.0
+    logical = report.kv_peak_logical_pages
+    return 1.0 - report.kv_peak_used_pages / logical if logical else 0.0
 
 
 def compute_rows():
@@ -154,7 +154,7 @@ def test_all_scenarios_complete_under_slo_scheduler(fleet_rows):
     _, raw = fleet_rows
     for rep in raw.values():
         assert rep.completed == N_REQUESTS
-        tenants = {t.tenant for t in rep.sharded.tenants}
+        tenants = {t.tenant for t in rep.tenants}
         assert tenants == {"chat", "agent", "batch"}
 
 

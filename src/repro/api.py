@@ -294,10 +294,11 @@ def serve(
     draft-propose / target-verify decoding, ``chunk_prefill_tokens=N``
     caps the per-step prefill token budget (Sarathi-style chunked
     prefill), and ``lora=LoRAConfig(...)`` prices per-request adapters
-    with an LRU residency budget.  Returns the engine's report
-    (:class:`~repro.serving.metrics.ServingReport`,
-    ``ShardedServingReport`` or ``FleetReport``); everything is a pure
-    function of ``(model, workload, fleet, slo, seed)``.
+    with an LRU residency budget.  Returns the engine's report: a
+    :class:`~repro.serving.metrics.ServingReport` for one replica, a
+    :class:`~repro.parallel.serving.ShardedServingReport` (which also
+    bills GPU-seconds) for a fleet; everything is a pure function of
+    ``(model, workload, fleet, slo, seed)``.
 
     >>> from repro.serving import TenantSpec, WorkloadSpec, PoissonArrivals
     >>> wl = WorkloadSpec(8, PoissonArrivals(500.0),
@@ -305,15 +306,10 @@ def serve(
     >>> serve("bert-small", wl, seed=7).completed
     8
     """
-    from repro.parallel.serving import (
-        AutoscalingServingEngine,
-        FleetConfig,
-        ShardedServingEngine,
-    )
+    from repro.parallel.serving import FleetConfig, fleet_engine
     from repro.serving.engine import ServingConfig, ServingEngine
     from repro.serving.request import Request
-    from repro.serving.scheduler import make_scheduler
-    from repro.serving.slo import SLOScheduler
+    from repro.serving.slo import make_policy_scheduler
     from repro.serving.workload import WorkloadSpec
 
     spec = device if isinstance(device, GPUSpec) else get_spec(device)
@@ -348,20 +344,17 @@ def serve(
 
     if fleet is not None and not isinstance(fleet, FleetConfig):
         raise ConfigError(f"fleet must be a FleetConfig, got {type(fleet).__name__}")
-    policy = "slo" if slo is not None else policy
-    rng = RngStream(seed)
     if fleet is None:
-        scheduler = (
-            SLOScheduler(max_batch_size, max_batch_tokens, policy=slo)
-            if slo is not None
-            else make_scheduler(policy, max_batch_size, max_batch_tokens)
+        engine = ServingEngine(
+            spec,
+            make_policy_scheduler(policy, max_batch_size, max_batch_tokens, slo),
+            config,
+            tracer=tracer,
         )
-        engine = ServingEngine(spec, scheduler, config, tracer=tracer)
-        return engine.run(trace, rng=rng)
-    cls = AutoscalingServingEngine if fleet.autoscale else ShardedServingEngine
-    engine = cls(
-        spec, policy, config, fleet=fleet, slo=slo,
-        max_batch_size=max_batch_size, max_batch_tokens=max_batch_tokens,
-        tracer=tracer,
-    )
-    return engine.run(trace, rng=rng)
+    else:
+        engine = fleet_engine(
+            spec, policy, config, fleet, slo=slo,
+            max_batch_size=max_batch_size, max_batch_tokens=max_batch_tokens,
+            tracer=tracer,
+        )
+    return engine.run(trace, rng=RngStream(seed))

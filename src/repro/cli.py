@@ -42,7 +42,7 @@ import sys
 from typing import Sequence
 
 
-from repro.api import ENGINES, compare_engines, compile_model
+from repro.api import ENGINES, compare_engines, compile_model, serve
 from repro.core.errors import ConfigError, ReproError
 from repro.core.rng import RngStream
 from repro.core.units import format_time
@@ -249,13 +249,7 @@ def _workload_knobs(args: argparse.Namespace) -> tuple["Any", int, "Any"]:
 
 
 def cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.serving import (
-        ServingConfig,
-        assign_adapters,
-        make_scheduler,
-        simulate_serving,
-        synthetic_trace,
-    )
+    from repro.serving import ServingConfig, assign_adapters, synthetic_trace
 
     spec = get_spec(args.device)
     trace = synthetic_trace(
@@ -286,11 +280,10 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         f"mask {args.mask}, {spec.name}\n"
     )
     for policy in policies:
-        scheduler = make_scheduler(
-            policy, args.max_batch, args.max_batch_tokens
-        )
-        report = simulate_serving(
-            trace, spec, scheduler, config, rng=RngStream(args.seed)
+        report = serve(
+            config, trace, device=spec, policy=policy, seed=args.seed,
+            max_batch_size=args.max_batch,
+            max_batch_tokens=args.max_batch_tokens,
         )
         print(report.summary())
         print()
@@ -302,7 +295,6 @@ def cmd_shard_sim(args: argparse.Namespace) -> int:
         DEFAULT_CONTENTION,
         FleetConfig,
         ShardConfig,
-        ShardedServingEngine,
         get_link,
     )
     from repro.serving import ServingConfig, synthetic_trace
@@ -328,28 +320,27 @@ def cmd_shard_sim(args: argparse.Namespace) -> int:
         kv_page_tokens=args.page_tokens,
         symbolic_plan_keys=args.symbolic_plan_keys,
     )
-    engine = ShardedServingEngine(
-        spec, args.policy, config,
-        max_batch_size=args.max_batch,
-        max_batch_tokens=args.max_batch_tokens,
-        fleet=FleetConfig(
-            shard=shard,
-            route=args.route,
-            overlap=not args.no_overlap,
-            micro_batches=args.micro_batches,
-            contention=(
-                args.contention if args.contention is not None
-                else DEFAULT_CONTENTION
-            ),
+    fleet = FleetConfig(
+        shard=shard,
+        route=args.route,
+        overlap=not args.no_overlap,
+        micro_batches=args.micro_batches,
+        contention=(
+            args.contention if args.contention is not None
+            else DEFAULT_CONTENTION
         ),
     )
-    report = engine.run(trace, rng=RngStream(args.seed))
+    report = serve(
+        config, trace, device=spec, policy=args.policy, fleet=fleet,
+        seed=args.seed, max_batch_size=args.max_batch,
+        max_batch_tokens=args.max_batch_tokens,
+    )
     print(
         f"shard-sim: {args.num_requests} requests @ {args.rate:.0f} req/s, "
         f"mask {args.mask}, {shard.world_size}x {spec.name}\n"
     )
     print(report.summary())
-    stats = engine.plan_cache.stats()
+    stats = report.plan_cache
     print(
         f"  plan cache   : {stats['hit_rate']:.1%} hit rate "
         f"({stats['hits']} hits, {stats['misses']} misses, "
@@ -359,7 +350,6 @@ def cmd_shard_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_sim(args: argparse.Namespace) -> int:
-    from repro.api import serve
     from repro.parallel import (
         FleetConfig,
         ShardConfig,
@@ -566,22 +556,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
             }
             print(compiled.summary())
         else:   # serve-sim
-            from repro.serving import (
-                ServingConfig,
-                ServingEngine,
-                make_scheduler,
-                synthetic_trace,
-            )
+            from repro.serving import ServingConfig, synthetic_trace
 
-            spec = get_spec(args.device)
             trace = synthetic_trace(
                 args.num_requests, args.rate,
                 rng=RngStream(args.seed).fork("trace"), pattern=args.mask,
             )
-            engine = ServingEngine(
-                spec, make_scheduler("continuous", 16, 65536), ServingConfig()
+            report = serve(
+                ServingConfig(), trace, device=args.device, seed=args.seed
             )
-            report = engine.run(trace, rng=RngStream(args.seed))
             meta = {
                 "workload": "serve-sim", "policy": report.policy,
                 "device": args.device, "mask": args.mask,

@@ -13,8 +13,8 @@ Four layers, mirroring how real serving stacks shard:
   model compilation: per-rank shards priced by the existing roofline,
   plus the layout's (bucketed, overlapped) collectives and micro-batch
   pipeline schedule.
-* :mod:`repro.parallel.serving` — TP/PP serving replicas under
-  data-parallel routing, merged into one fleet report.
+* :mod:`repro.parallel.serving` — data-parallel fleets of TP/PP serving
+  replicas (fixed or autoscaled width), merged into one fleet report.
 
 Entry points: ``compile_model(..., parallel="tp2pp2")`` from
 :mod:`repro.api`, the ``repro shard-sim`` CLI subcommand, and the classes
@@ -46,17 +46,13 @@ from repro.parallel.overlap import (
     pipeline_time,
 )
 from repro.parallel.serving import (
-    ROUTES,
     AutoscalingServingEngine,
-    FleetConfig,
-    FleetReport,
     FrontierPoint,
     ShardedServingEngine,
     ShardedServingReport,
-    TPServingEngine,
     cost_throughput_frontier,
 )
-from repro.parallel.shard import GRAMMAR, ShardConfig
+from repro.parallel.shard import GRAMMAR, ROUTES, FleetConfig, ShardConfig
 
 __all__ = [
     "Interconnect",
@@ -82,10 +78,8 @@ __all__ = [
     "ROUTES",
     "AutoscalingServingEngine",
     "FleetConfig",
-    "FleetReport",
     "FrontierPoint",
     "ShardedServingEngine",
     "ShardedServingReport",
-    "TPServingEngine",
     "cost_throughput_frontier",
 ]

@@ -7,6 +7,10 @@ per-rank plans are content-addressed separately from unsharded plans of
 the same geometry.  Layouts with ``pp == 1`` and a single link keep the
 exact fingerprint spelling of the pre-pipeline grammar, so their cached
 plans survive unchanged.
+
+A :class:`FleetConfig` deploys a layout (routing, collective pricing,
+autoscaling); it lives beside the layout so the replica engine in
+:mod:`repro.serving.engine` reads it without importing the fleet engines.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.parallel.interconnect import (
     LinkSpec,
     get_link,
 )
+from repro.parallel.overlap import DEFAULT_CONTENTION
 
 #: The accepted shard-spec grammar (quoted by every parse error).
 GRAMMAR = "tp{n}[pp{k}][dp{m}][:link[,link]]"
@@ -158,3 +163,74 @@ class ShardConfig:
             link=get_link(links[0]) if links else NVLINK,
             inter_link=get_link(links[1]) if len(links) == 2 else None,
         )
+
+
+#: Request-routing policies of the data-parallel front door.
+ROUTES = ("round-robin", "least-loaded")
+
+
+@dataclass(frozen=True)
+class FleetConfig:
+    """Everything fleet-shaped about a serving deployment, in one object.
+
+    ``shard`` and ``route`` also have plain short forms on the fleet
+    engines of :mod:`repro.parallel.serving`.  The autoscaling fields
+    only matter with ``autoscale=True``: the data-parallel width then
+    floats between ``min_replicas`` and ``max_replicas``, re-evaluated
+    every ``scale_window_s`` of simulated time against the measured
+    per-replica capacity, with scale-ups landing ``scale_up_latency_s``
+    after the decision (scale-downs are immediate) — see
+    :class:`~repro.parallel.serving.AutoscalingServingEngine`.
+    """
+
+    shard: "str | ShardConfig" = ShardConfig()
+    route: str = "least-loaded"
+    overlap: bool = True
+    micro_batches: int | None = None
+    contention: float = DEFAULT_CONTENTION
+    autoscale: bool = False
+    min_replicas: int = 1
+    max_replicas: int = 8
+    #: Autoscaler decision period; ``None`` derives it from the trace
+    #: span (an eighth, so every run sees several decisions).
+    scale_window_s: float | None = None
+    #: Simulated delay between a scale-up decision and the new replica
+    #: accepting traffic (model load + KV-cache warm-up).
+    scale_up_latency_s: float = 2e-3
+    #: Fraction of probed capacity the autoscaler plans to; the headroom
+    #: above it absorbs in-window burstiness.
+    target_utilization: float = 0.7
+    #: Cost of one GPU-second, in arbitrary currency units (the frontier
+    #: report multiplies by ``world_size`` GPU-seconds per replica).
+    gpu_cost_per_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shard", ShardConfig.parse(self.shard))
+        if self.route not in ROUTES:
+            raise ConfigError(f"unknown route {self.route!r}; known: {ROUTES}")
+        if self.micro_batches is not None and self.micro_batches < 1:
+            raise ConfigError(
+                f"micro_batches must be >= 1, got {self.micro_batches}"
+            )
+        if not 1 <= self.min_replicas <= self.max_replicas:
+            raise ConfigError(
+                f"need 1 <= min_replicas <= max_replicas, got "
+                f"{self.min_replicas}..{self.max_replicas}"
+            )
+        if self.scale_window_s is not None and self.scale_window_s <= 0:
+            raise ConfigError(
+                f"scale_window_s must be > 0, got {self.scale_window_s}"
+            )
+        if self.scale_up_latency_s < 0:
+            raise ConfigError(
+                f"scale_up_latency_s must be >= 0, got {self.scale_up_latency_s}"
+            )
+        if not 0.0 < self.target_utilization <= 1.0:
+            raise ConfigError(
+                f"target_utilization must be in (0, 1], got "
+                f"{self.target_utilization}"
+            )
+        if self.gpu_cost_per_s <= 0:
+            raise ConfigError(
+                f"gpu_cost_per_s must be > 0, got {self.gpu_cost_per_s}"
+            )

@@ -17,15 +17,40 @@ the *latest-arrived* resident request (recompute-style: pages are freed,
 the request re-queues and re-prefills its kept context), so memory
 pressure degrades throughput instead of raising out of the scheduler.
 
+Given a :class:`~repro.parallel.shard.ShardConfig`, the engine is one
+tensor/pipeline-parallel replica of ``tp * pp`` lock-stepped ranks.  TP
+ranks run the identical schedule on ``heads / tp`` heads each and
+pipeline stages hold ``n_layers / pp`` layers each, so ONE
+representative stage-rank is simulated (its KV cache sized from the
+per-rank head count and per-stage layer count, its kernel costs from the
+unchanged roofline) and each step pays the layout's communication, in
+one of two pricing modes:
+
+* **serialized** (``FleetConfig(overlap=False)``, ``pp == 1``) — two
+  ring all-reduces of the full ``tokens * hidden`` activation per layer
+  stall the ranks at Megatron's row-parallel sync points, priced where
+  each forward happens.
+* **overlapped** (the default) — each layer's two all-reduces are
+  bucketed into one collective and overlapped with the next layer's
+  compute under a link/SM contention factor
+  (:mod:`repro.parallel.overlap`); with ``pp > 1`` the step's work is
+  split into ``micro_batches`` micro-batches and run through a 1F1B
+  schedule whose ``(pp - 1)``-window bubble is charged explicitly, plus
+  a point-to-point activation send per micro-batch per stage boundary.
+
+With one rank and one stage both modes price a step exactly as the
+single-GPU engine does, bit for bit.
+
 Everything is a pure function of (trace, scheduler, config, seed): two
 runs produce bit-identical reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.errors import ConfigError
+from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
 from repro.gpu.cost import estimate_kernel_time
 from repro.gpu.specs import GPUSpec
@@ -36,6 +61,10 @@ from repro.masks.patterns import causal_mask, make_pattern
 from repro.masks.stats import row_rises
 from repro.obs.metrics import current_metrics
 from repro.obs.tracer import Tracer, current_tracer
+# Leaf modules only: the repro.parallel package imports the fleet engines,
+# which build on this module.
+from repro.parallel.overlap import overlapped_layer_time
+from repro.parallel.shard import FleetConfig, ShardConfig
 from repro.plan import (
     BucketGuard,
     GuardSet,
@@ -47,7 +76,7 @@ from repro.plan import (
 )
 from repro.serving.kvcache import KVCacheConfig, PagedKVCache
 from repro.serving.lora import AdapterRegistry, LoRAConfig
-from repro.serving.metrics import RequestMetrics, ServingReport, tenant_reports
+from repro.serving.metrics import RequestMetrics, ServingReport, tenant_rows
 from repro.serving.request import Request, RequestState, RequestTracker
 from repro.serving.scheduler import Scheduler
 from repro.serving.spec_decode import SpeculativeConfig
@@ -118,11 +147,15 @@ class ServingConfig:
 
 
 class ServingEngine:
-    """One simulated inference server: a GPU, a policy, a KV cache."""
+    """One simulated inference server: a policy and a KV cache on one GPU,
+    or on one TP/PP replica of ``tp * pp`` ranks.
 
-    #: Trace lanes of the simulated serving timeline.
-    LANE_STEPS = 0
-    LANE_REQUESTS = 1
+    ``shard`` is the replica's layout (``None``: a single GPU, whose plan
+    keys carry no shard fingerprint); ``fleet`` supplies the
+    collective-pricing knobs (``overlap``, ``micro_batches``,
+    ``contention``); ``lane_base`` and ``label`` place the replica's
+    lanes on a fleet's trace.
+    """
 
     def __init__(
         self,
@@ -131,10 +164,48 @@ class ServingEngine:
         config: ServingConfig | None = None,
         tracer: Tracer | None = None,
         plan_cache: PlanCache | None = None,
+        shard: "str | ShardConfig | None" = None,
+        fleet: FleetConfig | None = None,
+        lane_base: int = 0,
+        label: str = "",
     ):
+        layout = ShardConfig.parse(shard) if shard is not None else ShardConfig()
+        fleet = fleet if fleet is not None else FleetConfig()
+        full = config or ServingConfig()
+        if full.heads % layout.tp != 0:
+            raise ConfigError(
+                f"{full.heads} heads not divisible by tp={layout.tp}"
+            )
+        # Ragged pipelines fail here, at construction — never mid-sim.
+        layout.validate_pipeline(full.n_layers, what="serving config")
         self.spec = spec
         self.scheduler = scheduler
-        self.config = config or ServingConfig()
+        # The representative stage-rank serves heads/tp heads of
+        # n_layers/pp layers; its KV cache shrinks with both (same
+        # capacity fraction, fewer bytes per token), which is exactly the
+        # per-rank memory win of TP x PP.
+        self.config = replace(
+            full,
+            heads=full.heads // layout.tp,
+            n_layers=full.n_layers // layout.pp,
+        )
+        self.shard = layout
+        #: Shard-config fingerprint mixed into every decode PlanKey; ""
+        #: for the single-GPU engine, so per-rank plans never collide
+        #: with unsharded ones.
+        self.shard_fingerprint = layout.fingerprint if shard is not None else ""
+        self.fleet = fleet
+        self.overlap = fleet.overlap
+        self.micro_batches = fleet.micro_batches or (8 if layout.pp > 1 else 1)
+        self._ic = layout.interconnect()
+        self._hidden = full.heads * full.head_size   # full model width
+        #: Serialized pp1 pricing charges each forward's all-reduces where
+        #: it happens; every other mode re-prices them per step.
+        self._serial_calls = not self.overlap and layout.pp == 1
+        #: Trace lanes: steps, requests, then (replicas only) one per rank.
+        self._lane_base = lane_base
+        self._label = label
+        self._rank_lanes = shard is not None
         #: Explicit tracer for the run's simulated timeline; ``None`` falls
         #: back to the ambient :func:`repro.obs.tracer.current_tracer`.
         self.tracer = tracer
@@ -152,21 +223,20 @@ class ServingEngine:
             spec, cache=self.plan_cache if self.config.use_plan_cache else None
         )
         self._decode_kernel = RowWiseKernel()
-        #: Shard-config fingerprint mixed into every decode PlanKey; ""
-        #: for the single-device engine.  Sharded engines (repro.parallel)
-        #: set it so per-rank plans never collide with unsharded ones.
-        self.shard_fingerprint = ""
-        #: Simulated collective-communication seconds of the current step;
-        #: always 0 on the single-device engine, accumulated by sharded
-        #: subclasses inside their pricing overrides.
+        #: The current step's serialized collective seconds and activation
+        #: rows (reset at each step's start), and its step-level
+        #: (compute, comm, p2p, core) seconds for the rank lanes.
         self._step_comm_s = 0.0
+        self._step_tokens = 0
+        self._last_parts: tuple[float, float, float, float] | None = None
+        #: Totals over the last/current run (simulated seconds).
+        self.comm_total_s = 0.0
+        self.p2p_total_s = 0.0
+        self.bubble_total_s = 0.0
+        self.core_total_s = 0.0
         #: The run's KV cache (set by ``run``); ``_prefill_time`` consults
         #: it for shared-prefix positions it may skip recomputing.
         self._cache: PagedKVCache | None = None
-        #: Rows actually computed by the latest ``_prefill_time`` call —
-        #: sharded subclasses price their collectives on this, so a
-        #: prefix-cached prefill also shrinks its communication volume.
-        self._last_prefill_rows = 0
         #: Adapter pricing + residency when multi-LoRA serving is on.
         self._lora = (
             AdapterRegistry(
@@ -185,15 +255,18 @@ class ServingEngine:
 
     # ----------------------------------------------------------- step pricing
 
-    def _prefill_time(self, tr: RequestTracker, rng: RngStream) -> tuple[float, int]:
-        """Simulated seconds + launch count of (re)computing the context.
+    def _prefill_time(
+        self, tr: RequestTracker, rng: RngStream
+    ) -> tuple[float, int, int]:
+        """Simulated seconds, launch count and computed rows of
+        (re)computing the context.
 
         When the request attached to a shared prefix whose pages another
         holder already materialized, only the *suffix* rows past the
         cached positions are computed — rectangular rows over the full
-        context, priced through the same row-wise machinery as decode.
-        With nothing cached this is the historical square-prefill path,
-        bit for bit.
+        context, priced through the same row-wise machinery as decode —
+        and only their activations are all-reduced.  With nothing cached
+        this is the historical square-prefill path, bit for bit.
         """
         ctx = tr.context_len
         cached = (
@@ -201,33 +274,41 @@ class ServingEngine:
             if self._cache is not None
             else 0
         )
-        if cached <= 0 or cached >= ctx:
-            self._last_prefill_rows = 0 if cached >= ctx else ctx
-            if cached >= ctx:
-                return 0.0, 0
-            problem = AttentionProblem(
-                batch=1,
-                heads=self.config.heads,
-                seq_len=ctx,
-                head_size=self.config.head_size,
-                mask=tr.prefill_mask(rng),
-                pattern="custom",
+        if cached >= ctx:
+            return 0.0, 0, 0
+        if cached <= 0:
+            rows = ctx
+            seconds, launches = self._price_problem(
+                AttentionProblem(
+                    batch=1,
+                    heads=self.config.heads,
+                    seq_len=ctx,
+                    head_size=self.config.head_size,
+                    mask=tr.prefill_mask(rng),
+                    pattern="custom",
+                )
             )
-            plan = self._mha.plan(problem)
-            launches = sum(cost.launches for cost, _ in plan.launches)
-            return (
-                plan.estimated_s * self.config.n_layers,
-                launches * self.config.n_layers,
+        else:
+            suffix = tr.full_mask(rng)[cached:ctx, :ctx]
+            rows = ctx - cached
+            rises = row_rises(suffix)
+            seconds, launches = self._price_rows(
+                rows,
+                ctx,
+                int(suffix.sum()),
+                int((rises > 0).sum()),
+                int((rises == 1).sum()),
             )
-        rows = tr.full_mask(rng)[cached:ctx, :ctx]
-        self._last_prefill_rows = ctx - cached
-        rises = row_rises(rows)
-        return self._price_rows(
-            ctx - cached,
-            ctx,
-            int(rows.sum()),
-            int((rises > 0).sum()),
-            int((rises == 1).sum()),
+        return seconds + self._collective_s(rows), launches, rows
+
+    def _price_problem(self, problem: AttentionProblem) -> tuple[float, int]:
+        """(seconds, launches) of one attention problem planned through
+        the unified MHA module, for all layers."""
+        plan = self._mha.plan(problem)
+        launches = sum(cost.launches for cost, _ in plan.launches)
+        return (
+            plan.estimated_s * self.config.n_layers,
+            launches * self.config.n_layers,
         )
 
     def _price_rows(
@@ -397,7 +478,9 @@ class ServingEngine:
         contiguous-row fraction, and the packed block-diagonal layout
         preserves both per row, so the step is composed from per-row
         statistics (:meth:`_decode_stats`) without materializing the
-        packed mask.
+        packed mask.  This is the forward's compute alone: target
+        forwards add their all-reduces (:meth:`_collective_s`), draft
+        forwards pay none.
         """
         if not members:
             return 0.0, 0
@@ -415,12 +498,32 @@ class ServingEngine:
                     single += 1
         return self._price_rows(len(members), total_kv, nnz, nonempty, single)
 
-    # ------------------------------------------------- workload-specific pricing
+    # ----------------------------------------------------------- collectives
 
-    def _prefill_collective_s(self, rows: int) -> float:
-        """Collective seconds for ``rows`` chunk-prefill activations; the
-        single-device engine has none (sharded engines override)."""
-        return 0.0
+    def _collective_s(self, rows: int) -> float:
+        """Serialized all-reduce seconds of one forward over ``rows``
+        activation rows: two row-parallel sync points per (per-stage)
+        layer, full-hidden payloads, none on one rank.
+
+        Step-level pricing re-prices the step's communication from the
+        accumulated row count in :meth:`_step_time`; this still returns
+        the serialized estimate, so each phase's compute leg can be
+        recovered exactly.
+        """
+        if rows <= 0:
+            return 0.0
+        self._step_tokens += rows
+        if self.shard.tp == 1:
+            return 0.0
+        t = 2 * self.config.n_layers * self._ic.all_reduce_time(
+            rows * self._hidden * FP16_BYTES
+        )
+        self._step_comm_s += t
+        if self._serial_calls:
+            self.comm_total_s += t
+        return t
+
+    # ------------------------------------------------- workload-specific pricing
 
     def _chunk_prefill_time(
         self, tr: RequestTracker, rng: RngStream, max_rows: int
@@ -474,11 +577,8 @@ class ServingEngine:
             seconds, launches = self._price_chunk(tr, a, b, rng)
         tr.prefilled = b
         self._prefill_chunks += 1
-        return (
-            seconds + self._prefill_collective_s(b - a),
-            launches,
-            b - a,
-        )
+        # Chunks all-reduce exactly their own activation rows.
+        return seconds + self._collective_s(b - a), launches, b - a
 
     def _price_chunk(
         self, tr: RequestTracker, a: int, b: int, rng: RngStream
@@ -489,33 +589,17 @@ class ServingEngine:
         function of positions (that is what pinned params guarantee), so
         the value is independent of which request builds it first.
         """
-        problem = AttentionProblem(
-            batch=1,
-            heads=self.config.heads,
-            seq_len=b - a,
-            head_size=self.config.head_size,
-            mask=tr.full_mask(rng)[a:b, :b],
-            pattern="custom",
-            kv_seq_len=b,
+        return self._price_problem(
+            AttentionProblem(
+                batch=1,
+                heads=self.config.heads,
+                seq_len=b - a,
+                head_size=self.config.head_size,
+                mask=tr.full_mask(rng)[a:b, :b],
+                pattern="custom",
+                kv_seq_len=b,
+            )
         )
-        plan = self._mha.plan(problem)
-        launches = sum(cost.launches for cost, _ in plan.launches)
-        return (
-            plan.estimated_s * self.config.n_layers,
-            launches * self.config.n_layers,
-        )
-
-    def _draft_forward_time(
-        self, members: list[tuple[RequestTracker, int]], rng: RngStream
-    ) -> tuple[float, int]:
-        """One draft-model packed forward over one proposal depth.
-
-        Deliberately calls the *base* pricing, not ``self``'s override:
-        drafts are small enough that sharded deployments replicate them
-        per rank (vLLM/TRT-LLM practice), so the draft pays compute but
-        never tensor-parallel collectives.
-        """
-        return ServingEngine._decode_time(self, members, rng)
 
     def _spec_decode_step(
         self, members: list[tuple[RequestTracker, int]], rng: RngStream
@@ -537,19 +621,23 @@ class ServingEngine:
         launches = 0
         # The draft autoregressively proposes depth-by-depth: one packed
         # forward per depth over the members still proposing at it.
+        # Drafts are small enough that sharded deployments replicate them
+        # per rank (vLLM/TRT-LLM practice): they pay compute but never
+        # tensor-parallel collectives.
         depth = max((k for _tr, _pos, k in proposals), default=0)
         for j in range(depth):
             mj = [(tr, pos + j) for tr, pos, k in proposals if j < k]
-            t, n = self._draft_forward_time(mj, rng)
+            t, n = self._decode_time(mj, rng)
             seconds += spec.draft_cost_ratio * t
             launches += n
         # The target verifies every proposal row plus its own bonus row in
-        # ONE packed var-len forward (k_i + 1 rows per member).
+        # ONE packed var-len forward (k_i + 1 rows per member), and
+        # all-reduces that expanded row count.
         expanded = [
             (tr, pos + j) for tr, pos, k in proposals for j in range(k + 1)
         ]
         t, n = self._decode_time(expanded, rng)
-        seconds += t
+        seconds += t + self._collective_s(len(expanded))
         launches += n
         emits: list[tuple[RequestTracker, int]] = []
         for tr, _pos, k in proposals:
@@ -560,10 +648,6 @@ class ServingEngine:
         return seconds, launches, emits
 
     # -------------------------------------------------------- step composition
-
-    def _begin_step(self) -> None:
-        """Reset per-step accumulators before a step's pricing calls."""
-        self._step_comm_s = 0.0
 
     def _step_time(
         self,
@@ -577,20 +661,54 @@ class ServingEngine:
 
         A step that both admits and decodes models a piggybacked join
         (one fused forward over prefill tokens + decode rows): the
-        shorter phase's compute hides under the longer one's.
-        Collectives still serialize on the ring, and the host still
-        dispatches every launch.  Static batching admits only into an
-        empty device, so one phase is always zero and this is exactly
-        the serial price for it.  Sharded engines override this to
-        overlap the collectives and wrap pipeline stages.
+        shorter phase's compute hides under the longer one's, and the
+        host still dispatches every launch.  Static batching admits only
+        into an empty device, so one phase is always zero and this is
+        exactly the serial price for it.  Serialized pricing then stalls
+        on the step's all-reduces; step-level pricing re-prices them from
+        the step's row count as bucketed, overlapped collectives inside
+        a 1F1B window (see the module docstring).
         """
         cfg = self.config
-        return (
-            cfg.step_overhead_s
-            + max(prefill_s - prefill_comm_s, decode_s - decode_comm_s)
-            + self._step_comm_s
-            + cfg.dispatch_s * launches
-        )
+        compute = max(prefill_s - prefill_comm_s, decode_s - decode_comm_s)
+        if self._serial_calls:
+            return (
+                cfg.step_overhead_s
+                + compute
+                + self._step_comm_s
+                + cfg.dispatch_s * launches
+            )
+        pp, m = self.shard.pp, self.micro_batches
+        stage_layers = cfg.n_layers            # config already holds L/pp
+        tokens = self._step_tokens
+        micro_bytes = tokens * self._hidden * FP16_BYTES / m
+        # One layer's collectives for one micro-batch.  Overlapped, the
+        # layer's two sync points fuse into ONE bucketed all-reduce —
+        # same bytes, half the α hops.
+        layer_comm = 0.0
+        if self.shard.tp > 1 and tokens > 0:
+            layer_comm = (
+                self._ic.all_reduce_time(2 * micro_bytes) if self.overlap
+                else 2 * self._ic.all_reduce_time(micro_bytes)
+            )
+        if self.overlap:
+            window = overlapped_layer_time(
+                compute / m, layer_comm, stage_layers, self.fleet.contention
+            )
+        else:
+            window = compute / m + stage_layers * layer_comm
+        p2p_micro = 0.0
+        if pp > 1 and tokens > 0:
+            p2p_micro = self._ic.point_to_point_time(micro_bytes)
+            window += p2p_micro
+        core = (m + pp - 1) * window
+        comm_step = m * stage_layers * layer_comm
+        self.comm_total_s += comm_step
+        self.p2p_total_s += m * p2p_micro
+        self.bubble_total_s += (pp - 1) * window
+        self.core_total_s += core
+        self._last_parts = (compute, comm_step, m * p2p_micro, core)
+        return cfg.step_overhead_s + core + cfg.dispatch_s * launches
 
     # ----------------------------------------------------------------- spans
 
@@ -604,10 +722,14 @@ class ServingEngine:
         members: int,
         launches: int,
     ) -> None:
-        """Lay one engine step on the simulated timeline.
+        """Lay one engine step on the simulated timeline: the step span,
+        plus one compute/comm lane per rank on a fleet replica.
 
-        Sharded engines override this to add per-rank compute/comm lanes;
-        the single-device engine emits just the step span.
+        Ranks run in lockstep, so each rank lane shows the same
+        compute/comm picture — serialized as compute-then-all-reduce,
+        overlapped as one contention-priced window, pipelined with the
+        boundary sends — which is what the scaling study reads off the
+        trace.
         """
         if not tracer.enabled:
             return
@@ -616,12 +738,49 @@ class ServingEngine:
             cat="serving",
             t0=clock,
             dur=step_s,
-            tid=self.LANE_STEPS,
+            tid=self._lane_base,
             step=step,
             admitted=admitted,
             decode_members=members,
             launches=launches,
         ).add_model_time(step_s - self.config.step_overhead_s)
+        if not self._rank_lanes:
+            return
+        if self._serial_calls:
+            comm = self._step_comm_s
+            compute = max(step_s - self.config.step_overhead_s - comm, 0.0)
+            p2p = core = 0.0
+        else:
+            compute, comm, p2p, core = self._last_parts
+        for r in range(self.shard.tp):
+            lane = self._lane_base + 2 + r
+            tracer.lane_names.setdefault(lane, f"{self._label}tp rank {r}")
+            tracer.add_span(
+                "rank.compute", cat="serving.compute",
+                t0=clock, dur=compute, tid=lane, step=step, rank=r,
+            )
+            if comm > 0 and self.overlap:
+                tracer.add_span(
+                    "rank.overlap", cat="serving.comm",
+                    t0=clock, dur=core, tid=lane, step=step, rank=r,
+                    compute_s=compute, comm_s=comm,
+                    contention=self.fleet.contention,
+                    link=self.shard.link.name,
+                )
+            elif comm > 0:
+                tracer.add_span(
+                    "rank.all_reduce", cat="serving.comm",
+                    t0=clock + compute, dur=comm, tid=lane,
+                    step=step, rank=r, link=self.shard.link.name,
+                )
+            if p2p > 0:
+                tracer.add_span(
+                    "rank.send", cat="serving.comm",
+                    t0=clock + max(core - p2p, 0.0), dur=p2p, tid=lane,
+                    step=step, rank=r, link=self.shard.p2p_link.name,
+                    stages=self.shard.pp,
+                    micro_batches=self.micro_batches,
+                )
 
     # ------------------------------------------------------------- simulation
 
@@ -635,6 +794,10 @@ class ServingEngine:
         self._spec_proposed = 0
         self._spec_accepted = 0
         self._prefill_chunks = 0
+        self.comm_total_s = 0.0
+        self.p2p_total_s = 0.0
+        self.bubble_total_s = 0.0
+        self.core_total_s = 0.0
         if self._lora is not None:
             self._lora.reset()
         cache = PagedKVCache(
@@ -678,8 +841,12 @@ class ServingEngine:
 
         tracer = self.tracer if self.tracer is not None else current_tracer()
         if tracer.enabled:
-            tracer.lane_names.setdefault(self.LANE_STEPS, "engine steps")
-            tracer.lane_names.setdefault(self.LANE_REQUESTS, "requests")
+            tracer.lane_names.setdefault(
+                self._lane_base, f"{self._label}engine steps"
+            )
+            tracer.lane_names.setdefault(
+                self._lane_base + 1, f"{self._label}requests"
+            )
         metrics = current_metrics()
         kv_gauge = (
             metrics.gauge("serving.kv_occupancy") if metrics.enabled else None
@@ -706,7 +873,7 @@ class ServingEngine:
                         cat="serving.request",
                         t0=arrival,
                         dur=clock - arrival,
-                        tid=self.LANE_REQUESTS,
+                        tid=self._lane_base + 1,
                         req_id=tr.req_id,
                         prompt_len=tr.request.prompt_len,
                         tokens=tr.generated,
@@ -757,7 +924,8 @@ class ServingEngine:
                 clock = pending[0].arrival_s
                 continue
 
-            self._begin_step()
+            self._step_comm_s = 0.0
+            self._step_tokens = 0
             launches = 0
             prefill_s = 0.0
             #: Trackers whose prefill finishes this step (they earn their
@@ -773,14 +941,13 @@ class ServingEngine:
                 ):
                     # Whole remaining context fits one chunk: take the
                     # historical whole-prefill path, bit for bit.
-                    t, n = self._prefill_time(tr, mask_rng)
+                    t, n, rows = self._prefill_time(tr, mask_rng)
                     prefill_s += t
                     launches += n
                     prefill_completed.append(tr)
                     if self._lora is not None and tr.request.adapter:
                         lora_prefill[tr.request.adapter] = (
-                            lora_prefill.get(tr.request.adapter, 0)
-                            + self._last_prefill_rows
+                            lora_prefill.get(tr.request.adapter, 0) + rows
                         )
                 else:
                     tr.prefilled = cached
@@ -855,6 +1022,7 @@ class ServingEngine:
                 decode_s, n, emits = self._spec_decode_step(members, mask_rng)
             else:
                 decode_s, n = self._decode_time(members, mask_rng)
+                decode_s += self._collective_s(len(members))
                 emits = [(tr, 1) for tr, _pos in members]
             launches += n
             decode_comm_s = self._step_comm_s - prefill_comm_s
@@ -946,12 +1114,6 @@ class ServingEngine:
             (RequestMetrics.from_tracker(tr) for tr in finished),
             key=lambda m: m.req_id,
         )
-        tenants = ()
-        if any(r.tenant for r in trace):
-            tenants = tenant_reports(
-                completed_metrics,
-                slo_policy=getattr(self.scheduler, "slo_policy", None),
-            )
         return ServingReport(
             policy=self.scheduler.name,
             pattern="+".join(patterns),
@@ -968,7 +1130,7 @@ class ServingEngine:
             kv_peak_used_pages=cache.peak_used_pages,
             kv_peak_logical_pages=cache.peak_logical_pages,
             cow_forks=cache.cow_forks,
-            tenants=tenants,
+            tenants=tenant_rows(trace, completed_metrics, self.scheduler),
             plan_cache=self.plan_cache.stats() if cfg.use_plan_cache else None,
             spec_proposed=self._spec_proposed,
             spec_accepted=self._spec_accepted,

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro.serving.request import RequestTracker
+from repro.core.units import format_time
+from repro.serving.request import Request, RequestTracker
 
 #: Explicit sentinel for "this request never produced the event":
 #: a token-less tracker has no TTFT and an unfinished one no finish time.
@@ -202,6 +204,18 @@ def tenant_reports(
     )
 
 
+def tenant_rows(
+    trace: list[Request], requests: list[RequestMetrics], scheduler: object
+) -> tuple[TenantReport, ...]:
+    """A run's per-tenant rows: none for a single-tenant trace, measured
+    against the scheduler's SLO policy when it has one."""
+    if not any(r.tenant for r in trace):
+        return ()
+    return tenant_reports(
+        requests, slo_policy=getattr(scheduler, "slo_policy", None)
+    )
+
+
 @dataclass
 class ServingReport:
     """Outcome of one simulated serving run."""
@@ -299,13 +313,9 @@ class ServingReport:
     # -------------------------------------------------------------- rendering
 
     def summary(self) -> str:
-        from repro.core.units import format_time
-
         lines = [
             f"{self.policy} batching · {self.pattern} masks · {self.device}",
-            f"  requests     : {self.completed}/{self.n_requests} completed"
-            + (f" ({self.rejected} rejected)" if self.rejected else "")
-            + f", {self.total_tokens} tokens in {self.total_steps} steps",
+            self._requests_line(),
             f"  throughput   : {self.tokens_per_s:,.0f} tok/s, "
             f"goodput {self.goodput_rps:,.1f} req/s",
             f"  TTFT         : p50 {format_time(self.ttft_p(50))}, "
@@ -316,9 +326,21 @@ class ServingReport:
             f"  KV cache     : peak occupancy {self.kv_peak_occupancy:.1%}, "
             f"{self.preemptions} preemptions",
         ]
-        # New fleet-era / workload lines are conditional so legacy runs
-        # keep producing the historical (golden-tested) summary byte for
-        # byte.
+        return "\n".join(lines + self._workload_lines())
+
+    def _requests_line(self) -> str:
+        return (
+            f"  requests     : {self.completed}/{self.n_requests} completed"
+            + (f" ({self.rejected} rejected)" if self.rejected else "")
+            + f", {self.total_tokens} tokens in {self.total_steps} steps"
+        )
+
+    def _workload_lines(self) -> list[str]:
+        """The speculative, chunked-fill, LoRA, prefix-share and tenant
+        lines — printed only when the run used the feature, so runs
+        without them keep the historical (golden-tested) summary byte for
+        byte."""
+        lines = []
         if self.spec_proposed:
             acc = self.spec_accepted / self.spec_proposed
             lines.append(
@@ -355,4 +377,38 @@ class ServingReport:
                     f"{t.ttft_attainment:.0%} met)"
                 )
             lines.append(line)
-        return "\n".join(lines)
+        return lines
+
+
+#: ServingReport counters that add up over a fleet's replicas.
+ADDITIVE_FIELDS = (
+    "completed", "total_tokens", "total_steps", "preemptions",
+    "kv_peak_used_pages", "kv_peak_logical_pages", "cow_forks",
+    "spec_proposed", "spec_accepted", "prefill_chunks", "lora_swaps",
+)
+
+
+def merge_replica_fields(reports: list[ServingReport]) -> dict[str, Any]:
+    """The per-replica :class:`ServingReport` fields of a fleet, merged.
+
+    Additive counters sum; the KV-occupancy and resident-adapter peaks
+    take the busiest replica's (both are per-device budgets, so replica
+    peaks do not add); rejected ids and completed requests union in
+    ``req_id`` order.
+    """
+    merged: dict[str, Any] = {
+        name: sum(getattr(r, name) for r in reports) for name in ADDITIVE_FIELDS
+    }
+    merged["kv_peak_occupancy"] = max(
+        (r.kv_peak_occupancy for r in reports), default=0.0
+    )
+    merged["lora_peak_resident"] = max(
+        (r.lora_peak_resident for r in reports), default=0
+    )
+    merged["rejected_ids"] = tuple(
+        sorted(i for r in reports for i in r.rejected_ids)
+    )
+    merged["requests"] = sorted(
+        (m for r in reports for m in r.requests), key=lambda m: m.req_id
+    )
+    return merged

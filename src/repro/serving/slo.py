@@ -33,7 +33,12 @@ from dataclasses import dataclass
 from repro.core.errors import ConfigError
 from repro.serving.kvcache import PagedKVCache
 from repro.serving.request import RequestTracker
-from repro.serving.scheduler import SCHEDULERS, ContinuousBatchScheduler
+from repro.serving.scheduler import (
+    SCHEDULERS,
+    ContinuousBatchScheduler,
+    Scheduler,
+    make_scheduler,
+)
 
 
 @dataclass(frozen=True)
@@ -169,3 +174,19 @@ class SLOScheduler(ContinuousBatchScheduler):
 
 
 SCHEDULERS[SLOScheduler.name] = SLOScheduler
+
+
+def make_policy_scheduler(
+    policy: str,
+    max_batch_size: int,
+    max_batch_tokens: int,
+    slo: SLOPolicy | None,
+) -> Scheduler:
+    """A replica's scheduler: an explicit SLO policy wins over the name.
+
+    >>> make_policy_scheduler("continuous", 16, 65536, SLOPolicy()).name
+    'slo'
+    """
+    if slo is not None:
+        return SLOScheduler(max_batch_size, max_batch_tokens, policy=slo)
+    return make_scheduler(policy, max_batch_size, max_batch_tokens)

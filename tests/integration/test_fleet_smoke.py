@@ -44,26 +44,25 @@ def fleet_report(workload):
 
 def test_prefix_sharing_saves_pages(fleet_report):
     rep = fleet_report
-    assert rep.sharded.kv_peak_logical_pages > rep.sharded.kv_peak_used_pages
-    saved = 1.0 - (
-        rep.sharded.kv_peak_used_pages / rep.sharded.kv_peak_logical_pages
-    )
+    assert rep.kv_peak_logical_pages > rep.kv_peak_used_pages
+    saved = 1.0 - rep.kv_peak_used_pages / rep.kv_peak_logical_pages
     assert saved > 0.0
     assert "prefix share" in rep.summary()
 
 
 def test_every_tenant_reported_with_slo(fleet_report):
-    tenants = {t.tenant for t in fleet_report.sharded.tenants}
+    tenants = {t.tenant for t in fleet_report.tenants}
     assert tenants == {"chat", "batch", "agent"}
-    for t in fleet_report.sharded.tenants:
+    for t in fleet_report.tenants:
         assert t.ttft_target_s > 0
         assert 0.0 <= t.slo_attainment <= 1.0
 
 
 def test_autoscaler_scales_and_bills(fleet_report):
     rep = fleet_report
+    fleet = rep.fleet
     assert rep.completed == N_REQUESTS
-    assert rep.peak_replicas > rep.min_replicas        # load forced growth
+    assert rep.peak_replicas > fleet.min_replicas      # load forced growth
     assert rep.capacity_tokens_per_s > 0
     assert rep.gpu_s > 0 and rep.gpu_cost > 0
     assert rep.mean_replicas <= rep.peak_replicas
@@ -71,7 +70,7 @@ def test_autoscaler_scales_and_bills(fleet_report):
     times = [t for t, _ in rep.timeline]
     assert times == sorted(times)
     assert all(
-        rep.min_replicas <= n <= rep.max_replicas for _, n in rep.timeline
+        fleet.min_replicas <= n <= fleet.max_replicas for _, n in rep.timeline
     )
 
 

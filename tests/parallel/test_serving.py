@@ -1,17 +1,31 @@
-"""Tests for tensor-parallel serving replicas and the data-parallel router."""
+"""Tests for tensor/pipeline-parallel serving replicas and the fleet
+engines built from them (fixed and autoscaled data-parallel width)."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
 from repro.gpu.specs import A100
 from repro.obs import Tracer
-from repro.parallel import FleetConfig, ShardedServingEngine, TPServingEngine
-from repro.parallel.serving import ROUTES
+from repro.parallel import (
+    ROUTES,
+    AutoscalingServingEngine,
+    FleetConfig,
+    ShardConfig,
+    ShardedServingEngine,
+)
 from repro.serving import (
+    LoRAConfig,
     Request,
     ServingConfig,
     ServingEngine,
+    SLOPolicy,
+    SpeculativeConfig,
+    assign_adapters,
+    make_scenario,
     make_scheduler,
     synthetic_trace,
 )
@@ -27,19 +41,22 @@ def small_trace(n=8, rate=500.0, seed=3):
     )
 
 
-def tp_engine(tp, **kwargs):
-    return TPServingEngine(
-        A100, make_scheduler("continuous"), f"tp{tp}", CONFIG, **kwargs
+def replica_engine(shard, **kwargs):
+    """One TP/PP replica: the serving engine given a shard layout."""
+    return ServingEngine(
+        A100, make_scheduler("continuous"), CONFIG, shard=shard, **kwargs
     )
 
 
 class TestTPServingEngine:
+    """TP replicas: the serving engine given a ``tp{n}`` layout."""
+
     def test_tp1_reproduces_base_engine_exactly(self):
         """With one rank every collective is zero and the replica is the
         plain serving engine, bit for bit."""
         trace = small_trace()
         base = ServingEngine(A100, make_scheduler("continuous"), CONFIG)
-        tp1 = tp_engine(1)
+        tp1 = replica_engine("tp1")
         assert tp1.run(trace, rng=RngStream(17)) == base.run(
             trace, rng=RngStream(17)
         )
@@ -49,14 +66,14 @@ class TestTPServingEngine:
         """Each rank serves heads/tp heads — its KV bytes-per-token scale
         down with it — while collectives still move the full hidden
         width."""
-        tp2 = tp_engine(2)
+        tp2 = replica_engine("tp2")
         assert tp2.config.heads == CONFIG.heads // 2
         assert tp2._hidden == CONFIG.heads * CONFIG.head_size
 
     def test_collectives_priced_into_steps(self):
         trace = small_trace()
-        tp1 = tp_engine(1).run(trace, rng=RngStream(17))
-        tp2_engine = tp_engine(2)
+        tp1 = replica_engine("tp1").run(trace, rng=RngStream(17))
+        tp2_engine = replica_engine("tp2")
         tp2 = tp2_engine.run(trace, rng=RngStream(17))
         assert tp2_engine.comm_total_s > 0.0
         assert tp2.completed == tp1.completed == len(trace)
@@ -64,10 +81,10 @@ class TestTPServingEngine:
 
     def test_heads_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="not divisible"):
-            tp_engine(3)
+            replica_engine("tp3")
 
     def test_comm_resets_between_runs(self):
-        engine = tp_engine(2)
+        engine = replica_engine("tp2")
         engine.run(small_trace(), rng=RngStream(17))
         first = engine.comm_total_s
         engine.run(small_trace(), rng=RngStream(17))
@@ -79,8 +96,8 @@ class TestOverlapServing:
         """Bucketed, overlapped collectives finish the same trace sooner
         than the sync-point model on the same layout."""
         trace = small_trace()
-        fast = tp_engine(2)
-        slow = tp_engine(2, fleet=FleetConfig(overlap=False))
+        fast = replica_engine("tp2")
+        slow = replica_engine("tp2", fleet=FleetConfig(overlap=False))
         assert fast.overlap and not slow.overlap
         mk_fast = fast.run(trace, rng=RngStream(17)).makespan_s
         mk_slow = slow.run(trace, rng=RngStream(17)).makespan_s
@@ -90,8 +107,8 @@ class TestOverlapServing:
         """Collectives can hide, not vanish: the overlapped makespan still
         exceeds the comm-free (tp1) makespan."""
         trace = small_trace()
-        mk_tp2 = tp_engine(2).run(trace, rng=RngStream(17)).makespan_s
-        mk_tp1 = tp_engine(1).run(trace, rng=RngStream(17)).makespan_s
+        mk_tp2 = replica_engine("tp2").run(trace, rng=RngStream(17)).makespan_s
+        mk_tp1 = replica_engine("tp1").run(trace, rng=RngStream(17)).makespan_s
         assert mk_tp2 > mk_tp1
 
     def test_tp1_overlap_still_reproduces_base_engine(self):
@@ -99,46 +116,37 @@ class TestOverlapServing:
         path must degenerate to the plain engine bit for bit."""
         trace = small_trace()
         base = ServingEngine(A100, make_scheduler("continuous"), CONFIG)
-        tp1 = tp_engine(1)
+        tp1 = replica_engine("tp1")
         assert tp1.overlap
         assert tp1.run(trace, rng=RngStream(17)) == base.run(
             trace, rng=RngStream(17)
         )
 
     def test_deterministic(self):
-        a = tp_engine(2).run(small_trace(), rng=RngStream(17))
-        b = tp_engine(2).run(small_trace(), rng=RngStream(17))
+        a = replica_engine("tp2").run(small_trace(), rng=RngStream(17))
+        b = replica_engine("tp2").run(small_trace(), rng=RngStream(17))
         assert a == b
 
 
 class TestPipelineServing:
     def test_pp_divisibility_enforced_at_construction(self):
         with pytest.raises(ConfigError, match="not divisible"):
-            TPServingEngine(
-                A100, make_scheduler("continuous"), "tp2pp3", CONFIG
-            )
+            replica_engine("tp2pp3")
 
     def test_pp_engine_serves_one_stage(self):
-        engine = TPServingEngine(
-            A100, make_scheduler("continuous"), "tp2pp2", CONFIG
-        )
+        engine = replica_engine("tp2pp2")
         assert engine.config.n_layers == CONFIG.n_layers // 2
         assert engine.micro_batches == 8
 
     def test_pipeline_accumulates_bubble_and_sends(self):
-        engine = TPServingEngine(
-            A100, make_scheduler("continuous"), "tp2pp2", CONFIG
-        )
+        engine = replica_engine("tp2pp2")
         engine.run(small_trace(), rng=RngStream(17))
         assert engine.bubble_total_s > 0
         assert engine.p2p_total_s > 0
 
     def test_bad_micro_batches_rejected(self):
         with pytest.raises(ConfigError, match="micro_batches"):
-            TPServingEngine(
-                A100, make_scheduler("continuous"), "tp2pp2", CONFIG,
-                fleet=FleetConfig(micro_batches=0),
-            )
+            replica_engine("tp2pp2", fleet=FleetConfig(micro_batches=0))
 
     def test_report_carries_pipeline_aggregates(self):
         engine = ShardedServingEngine(
@@ -197,6 +205,40 @@ class TestRouting:
 
     def test_routes_registry(self):
         assert set(ROUTES) == {"round-robin", "least-loaded"}
+
+    def test_autoscaled_fleet_honours_the_route(self):
+        """The autoscaler routes with the fleet's policy: at a constant
+        width of two, round-robin alternates exactly like fixed dp2."""
+        engine = AutoscalingServingEngine(
+            A100, config=CONFIG,
+            fleet=FleetConfig(
+                autoscale=True, min_replicas=2, max_replicas=2,
+                route="round-robin",
+            ),
+        )
+        trace = requests((0, 100, 20), (1, 8, 4), (2, 8, 4))
+        report = engine.run(trace, rng=RngStream(17))
+        assert report.assignments == ((0, 2), (1,))
+        assert report.route == "round-robin"
+
+
+class TestFleetEngineChoice:
+    """The ``autoscale`` flag and the engine class must agree."""
+
+    def test_fixed_engine_refuses_an_autoscaled_fleet(self):
+        with pytest.raises(ConfigError, match="autoscale"):
+            ShardedServingEngine(
+                A100, config=CONFIG,
+                fleet=FleetConfig(autoscale=True, min_replicas=2,
+                                  max_replicas=4),
+            )
+
+    def test_autoscaler_refuses_a_fixed_fleet(self):
+        with pytest.raises(ConfigError, match="autoscale"):
+            AutoscalingServingEngine(
+                A100, config=CONFIG,
+                fleet=FleetConfig(min_replicas=2, max_replicas=4),
+            )
 
 
 class TestShardedServing:
@@ -283,3 +325,98 @@ class TestShardedServing:
         _, one = self.run_sharded("dp1", trace)
         _, four = self.run_sharded("dp4", trace)
         assert four.tokens_per_s > one.tokens_per_s
+
+
+# ------------------------------------------------------- fleet contracts
+
+#: The tenant mix of the fleet scenarios, scaled down: prefix sharing,
+#: priorities and per-tenant rows all take part in the comparison.
+FLEET_TRACE = make_scenario("steady", n_requests=24, rate_rps=3000.0).generate(
+    RngStream(5).fork("workload")
+)
+
+
+@pytest.mark.parametrize("slo", [False, True], ids=["fcfs", "slo"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("layout", ["tp1", "tp2", "tp2pp2"])
+def test_constant_width_autoscaler_is_fixed_dp(layout, k, slo):
+    """``min_replicas == max_replicas == k`` is the fixed least-loaded
+    ``dp=k`` fleet, replica for replica, billed for every rank over the
+    whole makespan."""
+    policy = SLOPolicy() if slo else None
+    fixed = ShardedServingEngine(
+        A100, config=CONFIG, slo=policy,
+        fleet=FleetConfig(shard=f"{layout}dp{k}", route="least-loaded"),
+    ).run(FLEET_TRACE, rng=RngStream(17))
+    auto = AutoscalingServingEngine(
+        A100, config=CONFIG, slo=policy,
+        fleet=FleetConfig(
+            shard=layout, autoscale=True, min_replicas=k, max_replicas=k
+        ),
+    ).run(FLEET_TRACE, rng=RngStream(17))
+    assert auto.assignments == fixed.assignments
+    assert auto.replicas == fixed.replicas        # plan_cache is compare=False
+    assert auto.makespan_s == fixed.makespan_s
+    for name in ("comm_s", "p2p_s", "bubble_s", "bubble_fraction"):
+        assert getattr(auto, name) == getattr(fixed, name), name
+    assert auto.tenants == fixed.tenants
+    assert fixed.tenants
+    world_size = ShardConfig.parse(f"{layout}dp{k}").world_size
+    assert auto.gpu_s == world_size * auto.makespan_s
+    assert fixed.gpu_s == auto.gpu_s
+    assert fixed.timeline == auto.timeline
+
+
+#: ServingReport counters a fleet report adds up over its replicas.
+ADDITIVE = (
+    "completed", "total_tokens", "total_steps", "preemptions", "rejected",
+    "kv_peak_used_pages", "kv_peak_logical_pages", "cow_forks",
+    "spec_proposed", "spec_accepted", "prefill_chunks", "lora_swaps",
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    spec=st.booleans(),
+    chunk=st.booleans(),
+    lora=st.booleans(),
+    autoscale=st.booleans(),
+    dp=st.integers(1, 3),
+    kv_frac=st.sampled_from([0.3, 6e-7]),
+    seed=st.integers(0, 2**16),
+)
+def test_fleet_report_merges_its_replicas(
+    spec, chunk, lora, autoscale, dp, kv_frac, seed
+):
+    """Every fleet-wide count is the sum of the replicas' counts, the
+    adapter peak is the busiest replica's, and the request list is the
+    req_id-ordered union — whatever workload features are on."""
+    trace = small_trace(n=10, rate=4000.0, seed=seed)
+    if lora:
+        trace = assign_adapters(trace, 3)
+    config = replace(
+        CONFIG,
+        kv_capacity_frac=kv_frac,
+        spec_decode=SpeculativeConfig(draft_tokens=2) if spec else None,
+        chunk_prefill_tokens=16 if chunk else 0,
+        lora=LoRAConfig(max_resident=2) if lora else None,
+    )
+    if autoscale:
+        engine = AutoscalingServingEngine(
+            A100, config=config,
+            fleet=FleetConfig(autoscale=True, max_replicas=dp),
+        )
+    else:
+        engine = ShardedServingEngine(A100, config=config, shard=f"dp{dp}")
+    report = engine.run(trace, rng=RngStream(seed))
+    for name in ADDITIVE:
+        assert getattr(report, name) == sum(
+            getattr(r, name) for r in report.replicas
+        ), name
+    assert report.lora_peak_resident == max(
+        r.lora_peak_resident for r in report.replicas
+    )
+    assert report.requests == sorted(
+        (m for r in report.replicas for m in r.requests),
+        key=lambda m: m.req_id,
+    )

@@ -151,8 +151,8 @@ class TestLegacyKeywords:
         """``gpu=``/``pattern=`` and the loose fleet keywords are gone:
         passing one fails loudly instead of being renamed."""
         from repro.gpu.specs import A100
-        from repro.parallel import ShardedServingEngine, TPServingEngine
-        from repro.serving import ServingConfig, make_scheduler
+        from repro.parallel import ShardedServingEngine
+        from repro.serving import ServingConfig, ServingEngine, make_scheduler
 
         cfg = ServingConfig(heads=4, head_size=16, n_layers=2)
         with pytest.raises(TypeError, match="gpu"):
@@ -165,8 +165,8 @@ class TestLegacyKeywords:
         with pytest.raises(TypeError, match="overlap"):
             ShardedServingEngine(A100, config=cfg, overlap=False)
         with pytest.raises(TypeError, match="contention"):
-            TPServingEngine(A100, make_scheduler("continuous"), "tp2", cfg,
-                            contention=0.5)
+            ServingEngine(A100, make_scheduler("continuous"), cfg,
+                          shard="tp2", contention=0.5)
 
 
 class TestTraceHook:
@@ -279,7 +279,7 @@ class TestServeFacade:
 
     def test_autoscale_dispatches_to_fleet_engine(self):
         from repro import FleetConfig, serve
-        from repro.parallel import FleetReport
+        from repro.parallel import ShardedServingReport
         from repro.serving import ServingConfig
 
         report = serve(
@@ -288,9 +288,10 @@ class TestServeFacade:
             fleet=FleetConfig(autoscale=True, max_replicas=2),
             seed=3,
         )
-        assert isinstance(report, FleetReport)
+        assert isinstance(report, ShardedServingReport)
         assert report.completed == 6
         assert report.gpu_s > 0
+        assert report.capacity_tokens_per_s > 0     # only autoscalers probe
 
     def test_slo_swaps_in_the_deadline_scheduler(self):
         from repro import SLOPolicy, serve
