@@ -31,6 +31,15 @@ row's run of blocks starts, ``seg_id`` maps blocks to segments,
 buckets those segments for the generated modules.
 ``part_bias`` is the deduplicated PART-mask stack as an additive FP32 bias
 (``0`` attended / ``-inf`` masked), ready to add onto score tiles.
+
+Pricing a tiling reads only four numbers of its BSR — block rows, FULL
+blocks, PART blocks and unique PART masks — gathered in a
+:class:`BlockCounts` record, which also holds the device
+``metadata_bytes`` formula.  :meth:`BlockSparseMask.block_counts` derives
+that record exactly for any coarser tiling whose block sizes are
+multiples of its own, so the selector prices every candidate tiling from
+one fine BSR (``AttentionProblem.block_counts`` reads the 16x16 one) and
+only a tiling that is executed builds its own full BSR.
 """
 
 from __future__ import annotations
@@ -49,6 +58,55 @@ class BlockKind(enum.IntEnum):
 
     FULL = 0
     PART = 1
+
+
+#: Device bytes per stored index (``int32``) and per kind tag (``int8``).
+_INDEX_BYTES = np.dtype(np.int32).itemsize
+_KIND_BYTES = np.dtype(np.int8).itemsize
+
+#: Content id of an all-``False`` block: empty, or padding past the mask.
+_EMPTY_ID = -1
+
+
+@dataclass(frozen=True)
+class BlockCounts:
+    """The block classification of one tiling, as far as pricing reads it.
+
+    ``n_block_rows`` block rows, ``n_full`` FULL and ``n_part`` PART blocks,
+    and ``n_unique_part`` distinct PART-block masks (the deduplicated
+    ``part_mask`` stack).
+    """
+
+    block_m: int
+    block_n: int
+    n_block_rows: int
+    n_full: int
+    n_part: int
+    n_unique_part: int
+
+    @property
+    def n_valid(self) -> int:
+        return self.n_full + self.n_part
+
+    def metadata_bytes(self) -> int:
+        """Device bytes occupied by the BSR index arrays and mask stack.
+
+        Three ``int32`` row-pointer arrays (FULL, PART, merged load); an
+        ``int32`` column per FULL block; an ``int32`` column and mask index
+        per PART block; an ``int32`` column, ``int8`` kind and ``int32``
+        mask index per valid block of the merged load CSR; and the
+        deduplicated PART stack at one byte per element.  The flat-COO /
+        segment arrays are host-side execution machinery for the
+        functional codegen backend and deliberately not counted: a real
+        device kernel consumes only the CSR views priced here.
+        """
+        return (
+            3 * _INDEX_BYTES * (self.n_block_rows + 1)
+            + _INDEX_BYTES * self.n_full
+            + 2 * _INDEX_BYTES * self.n_part
+            + (2 * _INDEX_BYTES + _KIND_BYTES) * self.n_valid
+            + self.n_unique_part * self.block_m * self.block_n
+        )
 
 
 @dataclass
@@ -134,12 +192,10 @@ class BlockSparseMask:
 
         # "full" means every *in-bounds* element is attended; edge blocks are
         # full when their un-padded region is saturated.
-        in_bounds = np.zeros_like(padded)
-        in_bounds[:seq_len, :kv_len] = True
-        bounds_blocks = in_bounds.reshape(
-            n_rows, block_m, n_cols, block_n
-        ).transpose(0, 2, 1, 3)
-        capacity = bounds_blocks.sum(axis=(2, 3))
+        capacity = np.outer(
+            np.minimum(block_m, seq_len - block_m * np.arange(n_rows)),
+            np.minimum(block_n, kv_len - block_n * np.arange(n_cols)),
+        )
 
         is_valid = counts > 0
         is_full = is_valid & (counts == capacity)
@@ -378,25 +434,102 @@ class BlockSparseMask:
             self._concat_groups_cache = groups
         return self._concat_groups_cache
 
-    def metadata_bytes(self) -> int:
-        """Device bytes occupied by the index arrays and mask stack.
+    def block_counts(self, block_m: int, block_n: int) -> BlockCounts:
+        """Block counts of this mask tiled at ``(block_m, block_n)``.
 
-        The flat-COO / segment arrays are host-side execution machinery for
-        the functional codegen backend and deliberately not counted: a
-        real device kernel consumes only the CSR views priced here.
+        The tiling must be this BSR's own or coarser by whole factors: each
+        coarse block is then an ``(fm, fn)`` grid of this BSR's blocks, and
+        its counts follow from theirs without touching the dense mask.  A
+        coarse block is FULL when every one of its blocks inside the mask
+        is FULL and valid when any block is; two PART blocks share a stored
+        mask when their blocks' contents agree position by position (see
+        :attr:`_fine_grids`).  Exact: equal to ``from_dense(mask, block_m,
+        block_n)``'s counts (property-tested).
         """
-        return int(
-            self.full_row_ptr.nbytes
-            + self.full_col_idx.nbytes
-            + self.part_row_ptr.nbytes
-            + self.part_col_idx.nbytes
-            + self.part_mask_idx.nbytes
-            + self.part_mask.size  # stored as 1 byte/element on device
-            + self.load_row_ptr.nbytes
-            + self.load_col_idx.nbytes
-            + self.load_kind.nbytes
-            + self.load_mask_idx.nbytes
+        fm, rem_m = divmod(block_m, self.block_m)
+        fn, rem_n = divmod(block_n, self.block_n)
+        if fm < 1 or fn < 1 or rem_m or rem_n:
+            raise ConfigError(
+                f"tiling ({block_m}, {block_n}) is not a multiple of this "
+                f"BSR's ({self.block_m}, {self.block_n})"
+            )
+        if fm == fn == 1:
+            return BlockCounts(
+                block_m, block_n, self.n_block_rows,
+                self.n_full, self.n_part, self.n_unique_part_masks,
+            )
+        ids, full = self._fine_grids
+        rows, cols = ids.shape
+        n_rows, n_cols = -(-rows // fm), -(-cols // fn)
+
+        def coarse(grid: np.ndarray, pad) -> np.ndarray:
+            """``grid`` padded with ``pad`` to whole coarse blocks, one row
+            of ``fm * fn`` entries per coarse block."""
+            out = np.full((n_rows * fm, n_cols * fn), pad, dtype=grid.dtype)
+            out[:rows, :cols] = grid
+            return out.reshape(n_rows, fm, n_cols, fn).transpose(0, 2, 1, 3).reshape(
+                n_rows * n_cols, fm * fn
+            )
+
+        # Padding past the mask has no in-bounds element to leave unattended.
+        is_full = coarse(full, True).all(axis=1)
+        signatures = coarse(ids, _EMPTY_ID)
+        is_part = (signatures != _EMPTY_ID).any(axis=1) & ~is_full
+        part = np.ascontiguousarray(signatures[is_part])
+        # Distinct signatures = value changes along the sorted records.
+        # (A bare np.unique takes its hash path, whose first call imports
+        # numpy.ma: ~15 ms once per process, paid by a one-shot plan.)
+        keys = np.sort(part.view(f"V{part.shape[1] * part.itemsize}").ravel())
+        n_unique = int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        return BlockCounts(
+            block_m, block_n, n_rows,
+            int(is_full.sum()), int(is_part.sum()), n_unique,
         )
+
+    @cached_property
+    def _fine_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per block of this tiling: a content id, and whether it is FULL.
+
+        Content ids are equal exactly where two blocks' padded contents are
+        equal.  A PART block's id is its ``load_mask_idx`` (the stack is
+        deduplicated by content), an interior FULL block gets one id, and
+        an empty block gets ``_EMPTY_ID``.  A FULL block on a ragged edge
+        holds ``True`` only on its in-bounds corner; that content can equal
+        a stored PART mask, whose id it then takes, and otherwise gets one
+        new id per corner shape.
+        """
+        bm, bn = self.block_m, self.block_n
+        n_unique = self.n_unique_part_masks
+        shape = (self.n_block_rows, self.n_block_cols)
+        ids = np.full(shape, _EMPTY_ID, dtype=np.int64)
+        full = np.zeros(shape, dtype=bool)
+        kind_full = self.load_kind == int(BlockKind.FULL)
+        part = ~kind_full
+        ids[self.load_block_row[part], self.load_col_idx[part]] = self.load_mask_idx[part]
+        f_rows = self.load_block_row[kind_full]
+        f_cols = self.load_col_idx[kind_full]
+        heights = np.minimum(bm, self.seq_len - f_rows * bm)
+        widths = np.minimum(bn, self.kv_len - f_cols * bn)
+        full_ids = np.full(len(f_rows), n_unique, dtype=np.int64)
+        next_id = n_unique + 1
+        ragged = (heights < bm) | (widths < bn)
+        for h, w in sorted(set(zip(heights[ragged].tolist(), widths[ragged].tolist()))):
+            corner = np.zeros((bm, bn), dtype=bool)
+            corner[:h, :w] = True
+            same = np.flatnonzero((self.part_mask == corner).all(axis=(1, 2)))
+            if len(same):
+                content = int(same[0])
+            else:
+                content, next_id = next_id, next_id + 1
+            full_ids[ragged & (heights == h) & (widths == w)] = content
+        ids[f_rows, f_cols] = full_ids
+        full[f_rows, f_cols] = True
+        return ids, full
+
+    def metadata_bytes(self) -> int:
+        """Device bytes occupied by the index arrays and mask stack
+        (:meth:`BlockCounts.metadata_bytes` of this tiling)."""
+        return self.block_counts(self.block_m, self.block_n).metadata_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

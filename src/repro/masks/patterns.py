@@ -42,8 +42,12 @@ def sliding_window_mask(seq_len: int, band_width: int) -> np.ndarray:
     _check_seq_len(seq_len)
     if band_width < 0:
         raise ConfigError(f"band_width must be >= 0, got {band_width}")
-    idx = np.arange(seq_len)
-    return np.abs(idx[:, None] - idx[None, :]) <= band_width
+    # |i - j| <= w  <=>  j <= i + w  and not  j <= i - w - 1; the second
+    # triangle lies inside the first, so xor removes it.  np.tri compares
+    # index ranges straight into booleans (no L^2 integer difference).
+    band = np.tri(seq_len, k=band_width, dtype=bool)
+    band ^= np.tri(seq_len, k=-band_width - 1, dtype=bool)
+    return band
 
 
 def dilated_mask(seq_len: int, band_width: int, dilation_rate: int = 1) -> np.ndarray:

@@ -14,8 +14,9 @@ One fused kernel computes masked attention over the BSR mask view:
   are pipelined against compute with async copy.
 
 ``run`` computes real values via the same block traversal (online softmax in
-FP32); ``plan`` produces the launch the simulated device prices.  Both share
-one counter builder so functional and analytical modes always agree.
+FP32) over the BSR built at its tiling; ``plan`` produces the launch the
+simulated device prices from that tiling's block counts
+(:meth:`AttentionProblem.block_counts`), which equal the BSR's own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.fp16 import FP16_BYTES, to_fp16
 from repro.gpu.bank import bank_conflict_factor
 from repro.gpu.cost import KernelCost, LaunchConfig
 from repro.gpu.specs import GPUSpec
-from repro.masks.bsr import BlockKind, BlockSparseMask
+from repro.masks.bsr import BlockCounts, BlockKind, BlockSparseMask
 from repro.mha.kernel import AttentionKernel, Launch
 from repro.mha.problem import AttentionProblem
 
@@ -85,13 +86,13 @@ class BlockWiseKernel(AttentionKernel):
     ) -> list[Launch]:
         p = params or self.default_params(problem, spec)
         _validate_blocks(p["block_m"], p["block_n"])
-        bsr = problem.bsr(p["block_m"], p["block_n"])
-        cost = self._counters(problem, bsr, spec, p)
+        counts = problem.block_counts(p["block_m"], p["block_n"])
+        cost = self._counters(problem, counts, spec, p)
         smem_bytes = required_smem_elems(
             p["block_m"], p["block_n"], problem.head_size, p["padding"]
         ) * FP16_BYTES
         config = LaunchConfig(
-            grid_blocks=problem.n_bh * bsr.n_block_rows,
+            grid_blocks=problem.n_bh * counts.n_block_rows,
             warps_per_block=p["num_warps"],
             smem_per_block=smem_bytes,
             pipelined=True,
@@ -101,16 +102,16 @@ class BlockWiseKernel(AttentionKernel):
     def _counters(
         self,
         problem: AttentionProblem,
-        bsr: BlockSparseMask,
+        counts: BlockCounts,
         spec: GPUSpec,
         p: dict[str, Any],
     ) -> KernelCost:
         bm, bn = p["block_m"], p["block_n"]
         d = problem.head_size
         n_bh = problem.n_bh
-        n_valid = bsr.n_valid
-        n_part = bsr.n_part
-        n_rows = bsr.n_block_rows
+        n_valid = counts.n_valid
+        n_part = counts.n_part
+        n_rows = counts.n_block_rows
 
         q_bytes = problem.qkv_bytes
         out_bytes = problem.qkv_bytes
@@ -129,7 +130,7 @@ class BlockWiseKernel(AttentionKernel):
 
         # PART-block element masks (1 byte/element on device, deduplicated
         # stack is L2-resident after first touch) + index metadata.
-        meta_first = bsr.metadata_bytes()
+        meta_first = counts.metadata_bytes()
         mask_visits = n_bh * n_part * bm * bn * 1.0
         dram_read += meta_first
         l2_read += max(0.0, mask_visits - meta_first)

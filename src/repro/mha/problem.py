@@ -3,8 +3,9 @@
 :class:`AttentionProblem` describes either a *symbolic* problem (shapes and
 mask only — what the benchmark harness builds at paper scale) or a *concrete*
 one (with Q/K/V arrays — what the tests and examples run functionally).  It
-caches the mask's derived views (BSR at arbitrary block sizes, element-level
-CSR, sparsity statistics) so kernels and the selector share one analysis.
+caches the mask's derived views (BSR at arbitrary block sizes, block counts
+for pricing, element-level CSR, sparsity statistics) so kernels and the
+selector share one analysis.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ import numpy as np
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
-from repro.masks.bsr import BlockSparseMask
+from repro.masks.bsr import BlockCounts, BlockSparseMask
 from repro.masks.patterns import make_pattern
 from repro.masks.stats import classify_distribution
+
+#: The finest block-wise tiling: every tiling the block-wise kernel accepts
+#: is a power-of-two multiple of it, so its BSR yields every tiling's counts.
+COUNTS_BLOCK = 16
 
 
 @dataclass
@@ -45,6 +50,9 @@ class AttentionProblem:
     v: np.ndarray | None = None
 
     _bsr_cache: dict[tuple[int, int], BlockSparseMask] = field(
+        default_factory=dict, repr=False
+    )
+    _counts_cache: dict[tuple[int, int], BlockCounts] = field(
         default_factory=dict, repr=False
     )
     _csr_cache: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -164,6 +172,20 @@ class AttentionProblem:
             self._bsr_cache[key] = BlockSparseMask.from_dense(self.mask, *key)
         return self._bsr_cache[key]
 
+    def block_counts(self, block_m: int, block_n: int) -> BlockCounts:
+        """Block counts of the mask at a tiling (cached) — what pricing reads.
+
+        Derived from the one :data:`COUNTS_BLOCK`-square BSR, so pricing
+        every candidate tiling tiles the mask once; only a tiling that is
+        executed builds its own BSR through :meth:`bsr`.
+        """
+        key = (int(block_m), int(block_n))
+        if key not in self._counts_cache:
+            self._counts_cache[key] = self.bsr(
+                COUNTS_BLOCK, COUNTS_BLOCK
+            ).block_counts(*key)
+        return self._counts_cache[key]
+
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Element-level CSR (row_ptr, col_idx) of the mask (cached).
 
@@ -231,8 +253,9 @@ class AttentionProblem:
     @property
     def nnz(self) -> int:
         """Attended element count of the mask."""
-        row_ptr, _ = self.csr()
-        return int(row_ptr[-1])
+        if self._csr_cache is not None:
+            return int(self._csr_cache[0][-1])
+        return int(np.count_nonzero(self.mask))
 
     @property
     def density(self) -> float:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.errors import ConfigError
@@ -170,7 +170,9 @@ def select_block_params(
     """Block-wise kernel parameters by analytical selection.
 
     ``mode="paper"``: Eq. 2's arg-max.  ``mode="model"``: cheapest setting
-    under the device cost model (still purely analytical).
+    under the device cost model (still purely analytical), every tiling
+    priced from :meth:`AttentionProblem.block_counts`, so no candidate
+    builds its own BSR.
     """
     if mode == "paper":
         best = eq2_candidates(problem, spec, padding)[0]
@@ -184,6 +186,7 @@ def select_block_params(
         kernel = BlockWiseKernel()
         best_params: dict[str, Any] | None = None
         best_t = math.inf
+        tiling = None
         for bm, bn, warps in _feasible_settings(problem, spec, padding):
             params = {
                 "block_m": bm,
@@ -192,7 +195,14 @@ def select_block_params(
                 "padding": padding,
             }
             try:
-                t = kernel.estimate_time(problem, spec, params)
+                # The launch's counters depend on the tiling, not the warp
+                # count: price each tiling once, then each warp count.
+                if (bm, bn) != tiling:
+                    [(cost, config)] = kernel.plan(problem, spec, params)
+                    tiling = (bm, bn)
+                t = estimate_kernel_time(
+                    spec, cost, replace(config, warps_per_block=warps)
+                ).total
             except ConfigError:
                 continue  # infeasible launch (occupancy) — skip like a tuner
             if t < best_t:

@@ -123,6 +123,35 @@ class TestCounts:
             bsr.blocks_in_row(2)
 
 
+class TestBlockCounts:
+    def test_ragged_full_block_matches_a_stored_part_mask(self):
+        """A FULL 16x16 block on a ragged edge is True only on its in-bounds
+        corner, and that content can equal a PART mask stored elsewhere.
+
+        Rows 0-7 and 32-39 of a 40x32 mask attend columns 0-15.  At 32x32
+        both block rows hold one PART block whose top-left 8x16 is True:
+        one stored mask.  At 16x16 the first is PART and the second (rows
+        32-39, the ragged edge) is FULL, so counting by block kind would
+        store two.
+        """
+        m = np.zeros((40, 32), bool)
+        m[0:8, 0:16] = True
+        m[32:40, 0:16] = True
+        fine = BlockSparseMask.from_dense(m, 16, 16)
+        assert (fine.n_full, fine.n_part) == (1, 1)
+        ref = BlockSparseMask.from_dense(m, 32, 32)
+        assert (ref.n_part, ref.n_unique_part_masks) == (2, 1)
+        got = fine.block_counts(32, 32)
+        assert (got.n_full, got.n_part, got.n_unique_part) == (0, 2, 1)
+        assert got.metadata_bytes() == ref.metadata_bytes()
+
+    @pytest.mark.parametrize("tiling", [(8, 16), (16, 24), (24, 32)])
+    def test_tiling_must_be_a_whole_multiple(self, tiling):
+        bsr = BlockSparseMask.from_dense(causal_mask(64), 16, 16)
+        with pytest.raises(ConfigError):
+            bsr.block_counts(*tiling)
+
+
 class TestValidation:
     def test_rectangular_masks_supported(self):
         """KV-cache decode steps have q_len != kv_len."""

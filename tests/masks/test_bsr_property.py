@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.masks.bsr import BlockKind, BlockSparseMask
+from repro.mha.problem import AttentionProblem
 
 
 @st.composite
@@ -87,3 +88,60 @@ def test_part_masks_never_empty_nor_full_interior(mask, blocks):
     for i in range(bsr.n_unique_part_masks):
         blk = bsr.part_mask[i]
         assert blk.any()  # never empty
+
+
+@st.composite
+def tiled_masks(draw):
+    """Ragged, rectangular masks: random, empty, full, rectangles, bands."""
+    seq = draw(st.integers(min_value=1, max_value=300))
+    kv = draw(st.one_of(st.just(seq), st.integers(min_value=1, max_value=300)))
+    kind = draw(st.sampled_from(["random", "empty", "full", "rects", "band"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "random":
+        return rng.random((seq, kv)) < rng.random()
+    if kind == "empty":
+        return np.zeros((seq, kv), dtype=bool)
+    if kind == "full":
+        return np.ones((seq, kv), dtype=bool)
+    if kind == "rects":
+        # Axis-aligned runs: FULL and identical PART blocks, ragged edges.
+        mask = np.zeros((seq, kv), dtype=bool)
+        for _ in range(rng.integers(1, 6)):
+            r, c = rng.integers(0, seq), rng.integers(0, kv)
+            mask[r : r + rng.integers(1, 48), c : c + rng.integers(1, 48)] = True
+        return mask
+    i, j = np.ogrid[:seq, :kv]
+    return np.abs(i - j) <= rng.integers(0, 40)
+
+
+def device_bytes(bsr: BlockSparseMask) -> int:
+    """The device-side arrays' sizes, summed: what metadata_bytes prices."""
+    return int(
+        sum(
+            a.nbytes
+            for a in (
+                bsr.full_row_ptr, bsr.full_col_idx, bsr.part_row_ptr,
+                bsr.part_col_idx, bsr.part_mask_idx, bsr.load_row_ptr,
+                bsr.load_col_idx, bsr.load_kind, bsr.load_mask_idx,
+            )
+        )
+        + bsr.part_mask.size
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask=tiled_masks())
+def test_block_counts_match_from_dense(mask):
+    """Every block-wise tiling's counts, derived from the one 16x16 BSR,
+    equal the counts of that tiling's own BSR, metadata bytes included."""
+    seq, kv = mask.shape
+    prob = AttentionProblem(1, 1, seq, 16, mask, kv_seq_len=kv)
+    for bm in (16, 32, 64, 128):
+        for bn in (16, 32, 64, 128):
+            ref = BlockSparseMask.from_dense(mask, bm, bn)
+            got = prob.block_counts(bm, bn)
+            assert (got.n_block_rows, got.n_full, got.n_part, got.n_unique_part) == (
+                ref.n_block_rows, ref.n_full, ref.n_part, ref.n_unique_part_masks,
+            ), (bm, bn)
+            assert got.n_valid == ref.n_valid
+            assert got.metadata_bytes() == ref.metadata_bytes() == device_bytes(ref)

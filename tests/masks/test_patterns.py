@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
@@ -17,10 +18,16 @@ from repro.masks.patterns import (
 
 
 class TestSlidingWindow:
-    def test_band_membership(self):
-        m = sliding_window_mask(16, 3)
-        i, j = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
-        assert np.array_equal(m, np.abs(i - j) <= 3)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seq_len=st.integers(min_value=1, max_value=300),
+        band_width=st.integers(min_value=0, max_value=320),
+    )
+    def test_band_membership(self, seq_len, band_width):
+        m = sliding_window_mask(seq_len, band_width)
+        i, j = np.meshgrid(np.arange(seq_len), np.arange(seq_len), indexing="ij")
+        assert m.dtype == bool
+        assert np.array_equal(m, np.abs(i - j) <= band_width)
 
     def test_symmetric(self):
         m = sliding_window_mask(64, 5)

@@ -44,6 +44,17 @@ class TestAttentionProblem:
         assert a is b
         assert small_problem.bsr(32, 32) is not a
 
+    def test_block_counts_cached(self, small_problem):
+        a = small_problem.block_counts(32, 64)
+        assert small_problem.block_counts(32, 64) is a
+
+    def test_nnz_needs_no_csr(self, small_problem):
+        """Pricing reads nnz; only execution needs the element CSR."""
+        assert small_problem.nnz == small_problem.mask.sum()
+        assert small_problem._csr_cache is None
+        row_ptr, _ = small_problem.csr()
+        assert small_problem.nnz == row_ptr[-1]
+
     def test_csr_consistent_with_mask(self, small_problem):
         row_ptr, col_idx = small_problem.csr()
         assert row_ptr[-1] == small_problem.mask.sum()

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError
+from repro.core.rng import RngStream
 from repro.gpu.specs import A100, RTX4090
-from repro.mha.blockwise import BlockWiseKernel, required_smem_elems
+from repro.masks.bsr import BlockSparseMask
+from repro.masks.patterns import causal_mask, make_pattern
+from repro.mha.blockwise import DEFAULT_PADDING, BlockWiseKernel, required_smem_elems
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
 from repro.mha.selector import (
     EQ1_BLOCK,
     TAU,
     KernelChoice,
+    _feasible_settings,
+    compile_attention_plan,
     eq1_threshold,
     eq2_candidates,
     eq2_score,
@@ -148,3 +153,100 @@ class TestModelModeSelection:
         assert eq1_threshold(prob) < 0
         choice, _ = select_kernel(prob, A100, mode="paper")
         assert choice is KernelChoice.ROW_WISE
+
+
+# ------------------------------------------------------------------ oracle
+#
+# The model-mode selector before block counts: every candidate setting
+# priced through ``estimate_time`` on a problem whose every tiling builds
+# its own full BSR.
+
+
+class PerTilingProblem(AttentionProblem):
+    """Reads each tiling's counts off that tiling's own BSR."""
+
+    def block_counts(self, block_m, block_n):
+        return self.bsr(block_m, block_n).block_counts(block_m, block_n)
+
+
+def oracle_plan(problem, spec):
+    """``(choice, params, estimated_s)`` by the build-a-BSR-per-candidate
+    selector, with the library's candidate order and strict-``<``
+    tie-break."""
+    prob = PerTilingProblem(
+        problem.batch, problem.heads, problem.seq_len, problem.head_size,
+        problem.mask, kv_seq_len=problem.kv_seq_len,
+    )
+    block = BlockWiseKernel()
+    best_params, best_t = None, math.inf
+    for bm, bn, warps in _feasible_settings(prob, spec, DEFAULT_PADDING):
+        params = {
+            "block_m": bm, "block_n": bn, "num_warps": warps,
+            "padding": DEFAULT_PADDING,
+        }
+        try:
+            t = block.estimate_time(prob, spec, params)
+        except ConfigError:
+            continue
+        if t < best_t:
+            best_t, best_params = t, params
+    row = RowWiseKernel()
+    row_params = row.default_params(prob, spec)
+    t_row = row.estimate_time(prob, spec, row_params)
+    t_block = block.estimate_time(prob, spec, best_params)
+    if t_row < t_block:
+        return KernelChoice.ROW_WISE, row_params, t_row
+    return KernelChoice.BLOCK_WISE, best_params, t_block
+
+
+def assert_plan_matches_oracle(problem, spec):
+    plan = compile_attention_plan(problem, spec)
+    choice, params, est = oracle_plan(problem, spec)
+    assert (plan.choice, plan.params, plan.estimated_s.hex()) == (
+        choice, params, est.hex()
+    )
+
+
+class TestSelectorMatchesPerTilingOracle:
+    """Pricing every tiling from one 16x16 BSR changes no plan: same choice,
+    same params, bit-identical estimate."""
+
+    @pytest.mark.parametrize(
+        "pattern", ["sliding_window", "dilated", "longformer", "bigbird", "causal"]
+    )
+    @pytest.mark.parametrize("seq_len", [45, 200, 517, 1000])
+    @pytest.mark.parametrize("shape", [(1, 12, 64), (1, 32, 128)])
+    def test_patterns_at_ragged_lengths(self, pattern, seq_len, shape):
+        batch, heads, head_size = shape
+        mask = make_pattern(pattern, seq_len, rng=RngStream(seq_len).fork(pattern))
+        for spec in (A100, RTX4090):
+            assert_plan_matches_oracle(
+                AttentionProblem(batch, heads, seq_len, head_size, mask), spec
+            )
+
+    @pytest.mark.parametrize("rows", [(0, 64), (300, 364), (640, 1000), (999, 1000)])
+    def test_rectangular_chunk_problem(self, rows):
+        """A chunked-prefill slice: rows [a, b) of a causal bigbird mask
+        over keys [0, b)."""
+        a, b = rows
+        full = make_pattern("bigbird", 1000, rng=RngStream(5).fork("c")) & causal_mask(1000)
+        prob = AttentionProblem(
+            1, 32, b - a, 128, full[a:b, :b], kv_seq_len=b
+        )
+        assert_plan_matches_oracle(prob, A100)
+
+
+def test_fresh_plan_tiles_the_mask_once(monkeypatch):
+    """Planning a fresh problem builds one BSR (the 16x16 one every
+    candidate tiling is priced from), not one per candidate tiling."""
+    calls = []
+    from_dense = BlockSparseMask.from_dense.__func__
+
+    def counting(cls, mask, block_m, block_n):
+        calls.append((block_m, block_n))
+        return from_dense(cls, mask, block_m, block_n)
+
+    monkeypatch.setattr(BlockSparseMask, "from_dense", classmethod(counting))
+    prob = AttentionProblem.build("bigbird", 1, 12, 1024, 64, rng=RngStream(3))
+    compile_attention_plan(prob, A100)
+    assert calls == [(16, 16)]
