@@ -110,7 +110,6 @@ def legal_moves(
     first, then zero-CI growers, then two-CI (which can only absorb MI).
     """
     cis = count_ci(scheme, categories)
-    bounds = _segment_bounds(scheme)
     n = len(scheme)
     moves: list[FusionMove] = []
 

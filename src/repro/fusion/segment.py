@@ -10,13 +10,14 @@ segment and must still be written to memory ("aux writes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.errors import GraphError
-from repro.graph.ir import Graph, Node, NodeKind
+from repro.graph.ir import Graph, NodeKind
 from repro.ops.base import Operator, OpCategory, Shape
 
 
@@ -55,6 +56,23 @@ class SegmentSpec:
     @property
     def names(self) -> str:
         return "+".join(op.name for op in self.ops)
+
+    @cached_property
+    def signature(self) -> tuple:
+        """Shape-based identity: ``(op type, input shapes)`` per op.
+
+        Identical layers share it, so the tuner and the plan layer key
+        measurements and plans on it.
+        """
+        return tuple(
+            (type(op).__name__, tuple(map(tuple, self.in_shapes[i])))
+            for i, op in enumerate(self.ops)
+        )
+
+    @cached_property
+    def signature_key(self) -> str:
+        """``repr(signature)``: the segment id of tuner and plan keys."""
+        return repr(self.signature)
 
     def external_bytes(self) -> int:
         """Total bytes of external inputs (FP16, bool masks as 1 B)."""
@@ -120,7 +138,6 @@ class SegmentSpec:
             in_shapes.append(shapes_i)
             sources.append(src_i)
 
-        counts = graph.consumer_counts()
         aux: list[int] = []
         for i, node in enumerate(nodes[:-1]):
             external = [

@@ -15,7 +15,7 @@ from repro.graph.pattern import (
     find_mha_subgraphs,
     op_sequence,
 )
-from repro.graph.rewrite import replace_subgraph, FusedNodePayload
+from repro.graph.rewrite import replace_subgraph, replace_subgraphs, FusedNodePayload
 
 __all__ = [
     "Graph",
@@ -28,5 +28,6 @@ __all__ = [
     "find_mha_subgraphs",
     "op_sequence",
     "replace_subgraph",
+    "replace_subgraphs",
     "FusedNodePayload",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,13 +53,22 @@ class Node:
 
 
 class Graph:
-    """A topologically ordered operator DAG."""
+    """A topologically ordered operator DAG.
+
+    Nodes enter a graph only through :meth:`add_node`, and a node's
+    ``inputs`` never change after it is added (rewrites build a new
+    graph).  ``add_node`` therefore records each node as a reader of its
+    inputs once, and :meth:`consumers` reads that index instead of
+    scanning the graph.
+    """
 
     def __init__(self, name: str = "graph"):
         self.name = name
         self.nodes: dict[str, Node] = {}
         self.order: list[str] = []
         self.outputs: list[str] = []
+        #: Readers of each node that has any, in graph order, each once.
+        self._readers: dict[str, list[Node]] = {}
 
     # ------------------------------------------------------------- building
 
@@ -71,6 +80,12 @@ class Graph:
                 raise GraphError(
                     f"node {node.name!r} depends on unknown node {dep!r}"
                 )
+        for dep in node.inputs:
+            readers = self._readers.get(dep)
+            if readers is None:
+                self._readers[dep] = [node]
+            elif readers[-1] is not node:  # ``Add(h, h)`` is one reader
+                readers.append(node)
         self.nodes[node.name] = node
         self.order.append(node.name)
         return node
@@ -97,10 +112,8 @@ class Graph:
         ]
 
     def consumers(self, name: str) -> list[Node]:
-        """Nodes that read ``name``."""
-        return [
-            self.nodes[n] for n in self.order if name in self.nodes[n].inputs
-        ]
+        """Nodes that read ``name``, in graph order, each once."""
+        return list(self._readers.get(name, ()))
 
     def consumer_counts(self) -> dict[str, int]:
         """Read count per node (outputs count as one external consumer)."""

@@ -17,6 +17,7 @@ the integration tests assert.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -27,7 +28,7 @@ from repro.core.fp16 import FP16_BYTES
 from repro.fusion.converter import FusionSchemeConverter, OperatorChain, extract_chains
 from repro.fusion.templates import CompilationTemplate
 from repro.graph.ir import Graph, Node, NodeKind
-from repro.graph.rewrite import FusedNodePayload, replace_subgraph
+from repro.graph.rewrite import FusedNodePayload, Region, replace_subgraphs
 from repro.gpu.cost import estimate_kernel_time
 from repro.gpu.specs import GPUSpec
 from repro.mha.kernel import AttentionKernel
@@ -45,7 +46,6 @@ from repro.plan import (
     spec_fingerprint,
 )
 from repro.runtime.capture import MHACapture, capture_attention_sites
-from repro.tuner.engine import segment_signature
 
 
 @dataclass
@@ -240,7 +240,7 @@ class PreparedModel:
                         kind="runtime-chain",
                         device=device,
                         params=params_key(params),
-                        salt=repr(segment_signature(template)),
+                        salt=template.segment.signature_key,
                         shard=self.shard,
                     )
                     seg_plan = compile_launches(
@@ -337,7 +337,7 @@ def rewrite_attention(
     positional fast paths recognise it, like the real implementations).
     """
     bindings: list[tuple[str, MHABinding]] = []
-    current = graph
+    regions: list[Region] = []
     # Identical attention sites (same mask input + geometry, i.e. repeated
     # layers) share one AttentionProblem so its cached BSR/CSR analysis is
     # computed once per model, not once per layer.
@@ -375,11 +375,9 @@ def rewrite_attention(
         binding = make_binding(capture, problem)
         fused_name = f"mha@{capture.region[-1]}"
         payload = FusedNodePayload(kind="mha", binding=binding)
-        current = replace_subgraph(
-            current, [n for n in capture.region], payload, fused_name
-        )
+        regions.append((list(capture.region), payload, fused_name))
         bindings.append((fused_name, binding))
-    return current, bindings
+    return replace_subgraphs(graph, regions), bindings
 
 
 def plan_chains(
@@ -430,16 +428,12 @@ def _first_feasible_params(
     template: CompilationTemplate, spec: GPUSpec
 ) -> dict[str, Any] | None:
     """Defaults if they launch; otherwise the first launchable setting."""
-    import itertools
-
-    from repro.core.errors import ConfigError
-
     space = template.param_space()
     keys = list(space)
-    candidates = [template.default_params(spec)]
-    candidates += [
-        dict(zip(keys, vals)) for vals in itertools.product(*space.values())
-    ]
+    candidates = itertools.chain(
+        [template.default_params(spec)],
+        (dict(zip(keys, vals)) for vals in itertools.product(*space.values())),
+    )
     for params in candidates:
         try:
             for cost, config in template.plan(spec, params):

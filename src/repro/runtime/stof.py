@@ -19,7 +19,6 @@ default parameters.
 from __future__ import annotations
 
 import time
-from typing import Any
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.runtime.frameworks import (
     inductor_scheme,
 )
 from repro.tuner.cache import EvalCostModel, PerformanceCache
-from repro.tuner.engine import OverheadBreakdown, TwoStageEngine, segment_signature
+from repro.tuner.engine import OverheadBreakdown, TwoStageEngine
 
 
 class STOFEngine(Engine):
@@ -144,8 +143,6 @@ class STOFEngine(Engine):
             by_first = {
                 cp.chain.node_names[0]: cp for cp in prepared.chains
             }
-            from repro.fusion.converter import FusionSchemeConverter
-
             for first, result in results.items():
                 cp = by_first.get(first)
                 if cp is None:

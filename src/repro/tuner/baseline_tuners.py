@@ -20,17 +20,17 @@ input scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.rng import RngStream
-from repro.fusion.converter import FusionSchemeConverter, OperatorChain, extract_chains
+from repro.fusion.converter import FusionSchemeConverter, extract_chains
 from repro.fusion.templates import CompilationTemplate
 from repro.graph.ir import Graph
 from repro.gpu.specs import GPUSpec
 from repro.ops.base import OpCategory
 from repro.tuner.cache import EvalCostModel, PerformanceCache
-from repro.tuner.engine import SegmentState, segment_signature
+from repro.tuner.engine import SegmentState
 
 
 @dataclass
@@ -68,7 +68,7 @@ class _GridTunerBase:
         return combos[: self.max_settings_per_segment]
 
     def _tune_segment(self, template: CompilationTemplate) -> SegmentState | None:
-        sig = segment_signature(template)
+        sig = template.segment.signature_key
         best_t, best_p = float("inf"), None
         for params in self._grid(template):
             t = self.cache.evaluate(
@@ -151,7 +151,7 @@ class ExhaustiveLoopTuner(_GridTunerBase):
         return out[: self.max_settings_per_segment * len(self.unroll_variants)]
 
     def _tune_segment(self, template: CompilationTemplate) -> SegmentState | None:
-        sig = segment_signature(template)
+        sig = template.segment.signature_key
         best_t, best_p = float("inf"), None
         for params in self._grid(template):
             unrolled = dict(params)
@@ -200,7 +200,7 @@ class TemplateEnumerationTuner(_GridTunerBase):
 
     def _segmentation(self, converter: FusionSchemeConverter, tokens: int) -> tuple[int, ...]:
         """Each CI op absorbs its element-wise epilogue; MI ops detached."""
-        from repro.fusion.templates import GemmEpilogueTemplate, _is_reduction
+        from repro.fusion.templates import _is_reduction
 
         cats = converter.chain.categories
         ops = [converter.graph.node(n).op for n in converter.chain.node_names]

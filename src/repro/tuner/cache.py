@@ -7,15 +7,14 @@ device-model kernel time (capped per candidate).  The cache guarantees
 "the same parameter setting in each fusion scheme will not be executed
 repeatedly" (paper §4.4) — a hit charges nothing.
 
-.. deprecated::
-    :class:`PerformanceCache` is now a thin compatibility shim over the
-    unified plan layer: measurements live in a
-    :class:`repro.plan.PlanCache` under ``kind="tuner-measure"`` keys
-    (segment identity in the salt, the historical ``params_key`` as the
-    key's params field).  New code should use :mod:`repro.plan` directly;
-    this module keeps the public API — ``evaluate`` / ``best_for`` /
-    ``entries`` / ``save`` / ``load`` and the v1 JSON format — working for
-    existing tests and benchmarks.
+:class:`PerformanceCache` is the tuners' measurement cache: STOF's
+:class:`~repro.tuner.engine.TwoStageEngine` and the baseline tuners price
+every candidate through :meth:`PerformanceCache.evaluate`.  It keeps its
+measurements in the plan layer, a :class:`repro.plan.PlanCache` under
+``kind="tuner-measure"`` keys (the segment id in the salt, ``params_key``
+as the key's params), and adds what tuning needs on top: simulated
+tuning-cost accounting, cached launch failures, ``best_for`` and the v1
+JSON format of ``save`` / ``load``.
 
 The cache can be persisted to JSON (:meth:`PerformanceCache.save` /
 :meth:`PerformanceCache.load`) so a later session warm-starts from prior
@@ -160,11 +159,21 @@ class PerformanceCache:
         return t
 
     def best_for(self, segment_id: Hashable) -> tuple[float, tuple] | None:
-        """(best time, params key) over all cached settings of a segment."""
+        """(best time, params key) over all cached settings of a segment.
+
+        Settings are taken in plan-cache order, as in :attr:`entries`; the
+        first of equal times wins.
+        """
         norm = self._norm(segment_id)
+        times: dict[tuple, float] = {}
+        for key, t in self.plans.items():
+            if key.kind == TUNER_KIND and key.salt == norm:
+                # A later guard sibling of the same setting overrides the
+                # time but keeps the setting's place, as in ``entries``.
+                times[key.params] = t
         best: tuple[float, tuple] | None = None
-        for (sid, pkey), t in self.entries.items():
-            if sid != norm or t == float("inf"):
+        for pkey, t in times.items():
+            if t == float("inf"):
                 continue
             if best is None or t < best[0]:
                 best = (t, pkey)

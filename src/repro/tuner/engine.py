@@ -43,12 +43,12 @@ from repro.tuner.sampler import RewardSampler
 
 
 def segment_signature(template: CompilationTemplate) -> tuple:
-    """Shape-based identity of a segment (shared across identical layers)."""
-    seg = template.segment
-    return tuple(
-        (type(op).__name__, tuple(map(tuple, seg.in_shapes[i])))
-        for i, op in enumerate(seg.ops)
-    )
+    """Shape-based identity of a segment (shared across identical layers).
+
+    Cached on the segment, as is its ``repr`` (``signature_key``), which
+    is the segment id of every tuner measurement and runtime plan key.
+    """
+    return template.segment.signature
 
 
 @dataclass
@@ -133,9 +133,10 @@ class TwoStageEngine:
     # ----------------------------------------------------------- primitives
 
     def _measure(self, template: CompilationTemplate, params: dict[str, Any]) -> float | None:
-        sig = segment_signature(template)
         return self.cache.evaluate(
-            sig, params, lambda: template.estimate_time(self.spec, params)
+            template.segment.signature_key,
+            params,
+            lambda: template.estimate_time(self.spec, params),
         )
 
     def _eval_segment(
@@ -153,7 +154,8 @@ class TwoStageEngine:
         space = template.param_space()
         candidates: list[dict[str, Any]] = [template.default_params(self.spec)]
         keys = list(space)
-        stream = rng.fork(f"s1-{segment_signature(template)}").generator
+        segment_id = template.segment.signature_key
+        stream = rng.fork(f"s1-{segment_id}").generator
         for _ in range(n_samples):
             candidates.append({k: space[k][stream.integers(len(space[k]))] for k in keys})
         best: tuple[float, dict[str, Any]] | None = None
@@ -164,7 +166,7 @@ class TwoStageEngine:
             if best is None or t < best[0]:
                 best = (t, params)
         # Fold in anything already cached for this signature (cross-layer reuse).
-        cached = self.cache.best_for(segment_signature(template))
+        cached = self.cache.best_for(segment_id)
         if cached is not None and (best is None or cached[0] < best[0]):
             best = (cached[0], dict(cached[1]))
         return best
@@ -284,7 +286,7 @@ class TwoStageEngine:
         sampler = RewardSampler(
             [t.param_space() for t in templates],
             rng,
-            segment_keys=[str(segment_signature(t)) for t in templates],
+            segment_keys=[t.segment.signature_key for t in templates],
         )
         overhead.reward_algorithm_s += time.perf_counter() - t0
 

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.masks.bsr import BlockKind, BlockSparseMask
+from repro.masks.bsr import BlockKind, BlockSparseMask, _block_populations
 from repro.mha.problem import AttentionProblem
 
 
@@ -145,3 +145,42 @@ def test_block_counts_match_from_dense(mask):
             ), (bm, bn)
             assert got.n_valid == ref.n_valid
             assert got.metadata_bytes() == ref.metadata_bytes() == device_bytes(ref)
+
+
+def padded_to_blocks(mask: np.ndarray, bm: int, bn: int) -> np.ndarray:
+    seq, kv = mask.shape
+    padded = np.zeros((-(-seq // bm) * bm, -(-kv // bn) * bn), dtype=bool)
+    padded[:seq, :kv] = mask
+    return padded
+
+
+def transposed_populations(padded: np.ndarray, bm: int, bn: int) -> np.ndarray:
+    """Per-block populations by summing the transposed 4-D view (the oracle)."""
+    rows, cols = padded.shape[0] // bm, padded.shape[1] // bn
+    return padded.reshape(rows, bm, cols, bn).transpose(0, 2, 1, 3).sum(axis=(2, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mask=tiled_masks(),
+    bm=st.integers(min_value=1, max_value=128),
+    bn=st.integers(min_value=1, max_value=128),
+)
+def test_block_populations_match_transposed_sum(mask, bm, bn):
+    """The two-reduction population count equals the transposed-view sum,
+    and from_dense classifies FULL/PART blocks by it."""
+    padded = padded_to_blocks(mask, bm, bn)
+    want = transposed_populations(padded, bm, bn)
+    assert np.array_equal(_block_populations(padded, bm, bn), want)
+
+    seq, kv = mask.shape
+    capacity = np.outer(
+        np.minimum(bm, seq - bm * np.arange(want.shape[0])),
+        np.minimum(bn, kv - bn * np.arange(want.shape[1])),
+    )
+    bsr = BlockSparseMask.from_dense(mask, bm, bn)
+    kinds = np.full(want.shape, -1, dtype=np.int8)  # -1: empty block
+    kinds[bsr.load_block_row, bsr.load_col_idx] = bsr.load_kind
+    full = (want > 0) & (want == capacity)
+    assert np.array_equal(kinds == BlockKind.FULL, full)
+    assert np.array_equal(kinds == BlockKind.PART, (want > 0) & ~full)
