@@ -21,16 +21,52 @@ The model (see DESIGN.md §1 for the rationale):
    kernel serializes memory before compute.
 4. Fixed costs.  Launch overhead per kernel launch and barrier latency per
    ``__syncthreads`` round (serialized across waves).
+
+The model's formulas are written once (:func:`_model`) and evaluate either
+on Python numbers for one launch (:func:`estimate_kernel_time`) or
+elementwise on NumPy arrays for a batch of candidate launches
+(:func:`estimate_kernel_times`); both give the same doubles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from repro.core.errors import ConfigError
-from repro.gpu.occupancy import compute_occupancy
+from repro.gpu.occupancy import compute_occupancy, occupancy_or_reason
 from repro.gpu.specs import GPUSpec
+
+
+class Ops(NamedTuple):
+    """The rounding and branching operations a shared formula body uses.
+
+    Everything else in such a body is ``+ - * /`` and comparisons, which
+    Python numbers and NumPy arrays share.  Elementwise IEEE operations in
+    the same order give the same doubles, so one body evaluated with
+    :data:`FLOAT_OPS` on one launch and with :data:`ARRAY_OPS` on a grid
+    agrees bit for bit, as long as every expression keeps its association.
+    """
+
+    ceil: Callable[[Any], Any]
+    minimum: Callable[[Any, Any], Any]
+    maximum: Callable[[Any, Any], Any]
+    where: Callable[[Any, Any, Any], Any]
+
+
+def _pick(cond: Any, if_true: Any, if_false: Any) -> Any:
+    return if_true if cond else if_false
+
+
+#: Python numbers: one launch.  A one-element array evaluation would cost
+#: several times as much, and decode pricing prices launches one by one.
+FLOAT_OPS = Ops(ceil=math.ceil, minimum=min, maximum=max, where=_pick)
+#: NumPy arrays: a batch of launches, elementwise.
+ARRAY_OPS = Ops(ceil=np.ceil, minimum=np.minimum, maximum=np.maximum, where=np.where)
 
 
 @dataclass(frozen=True)
@@ -161,14 +197,85 @@ class TimeBreakdown:
         return max(phases, key=phases.get)  # type: ignore[arg-type]
 
 
-def _saturation(occupancy: float, knee: float) -> float:
+def _saturation(ops: Ops, occupancy: Any, knee: float) -> Any:
     """Fraction of peak throughput achieved at a given warp occupancy.
 
     Latency hiding needs enough resident warps; below the knee, achieved
     throughput falls off linearly.  A tiny floor keeps single-warp launches
     finite rather than dividing by zero.
     """
-    return max(min(1.0, occupancy / knee), 1e-3)
+    return ops.maximum(ops.minimum(1.0, occupancy / knee), 1e-3)
+
+
+def _model(ops: Ops, spec: GPUSpec, blocks_per_sm: Any, cost: Any, config: Any) -> tuple:
+    """The time model, once: ``(total, launch, dram, l2, smem, tensor,
+    simt, sync, utilization, waves)`` of launches whose blocks fit
+    ``blocks_per_sm`` to an SM.
+
+    ``cost`` and ``config`` carry the fields of :class:`KernelCost` (with
+    ``bytes_dram``) and :class:`LaunchConfig`: Python numbers with
+    :data:`FLOAT_OPS`, arrays with :data:`ARRAY_OPS`.  Every denominator is
+    positive, so both branches of a ``where`` are safe to evaluate.
+    """
+    # --- utilization: how much of the device the grid actually covers -------
+    capacity = blocks_per_sm * spec.sm_count
+    waves = ops.maximum(1, ops.ceil(config.grid_blocks / capacity))
+    blocks_in_flight = config.grid_blocks / waves
+    active_sms = ops.minimum(spec.sm_count, blocks_in_flight)
+    sm_fraction = active_sms / spec.sm_count
+    # Per-SM occupancy achieved by the blocks actually resident.
+    blocks_per_active_sm = blocks_in_flight / ops.maximum(active_sms, 1e-9)
+    local_occ = ops.minimum(
+        1.0,
+        blocks_per_active_sm
+        * config.warps_per_block
+        / spec.max_warps_per_sm,
+    )
+
+    util_mem = sm_fraction * _saturation(ops, local_occ, spec.mem_saturation_knee)
+    util_comp = sm_fraction * _saturation(ops, local_occ, spec.comp_saturation_knee)
+
+    # --- phase times ---------------------------------------------------------
+    where = ops.where
+    t_dram = where(cost.bytes_dram, cost.bytes_dram / (spec.dram_bandwidth * util_mem), 0.0)
+    t_l2 = (
+        where(cost.bytes_l2_read, cost.bytes_l2_read / (spec.l2_bandwidth * util_mem), 0.0)
+        if spec.l2_bandwidth
+        else 0.0
+    )
+    t_smem = where(
+        cost.bytes_smem,
+        cost.bytes_smem
+        * cost.bank_conflict_factor
+        / (spec.smem_bandwidth * util_mem),
+        0.0,
+    )
+    t_tensor = (
+        where(cost.flops_tensor, cost.flops_tensor / (spec.fp16_tensor_flops * util_comp), 0.0)
+        if spec.fp16_tensor_flops
+        else 0.0
+    )
+    t_simt = (
+        where(cost.flops_simt, cost.flops_simt / (spec.fp32_simt_flops * util_comp), 0.0)
+        if spec.fp32_simt_flops
+        else 0.0
+    )
+
+    t_mem = t_dram + t_l2
+    t_comp = t_tensor + t_simt
+    body = where(
+        config.pipelined,
+        ops.maximum(ops.maximum(t_mem, t_smem), t_comp),
+        t_mem + ops.maximum(t_smem, t_comp),
+    )
+
+    t_sync = cost.sync_rounds * waves * spec.barrier_latency_s
+    t_launch = cost.launches * spec.kernel_launch_overhead_s
+    total = t_launch + body + t_sync
+    return (
+        total, t_launch, t_dram, t_l2, t_smem, t_tensor, t_simt, t_sync,
+        sm_fraction, waves,
+    )
 
 
 def estimate_kernel_time(
@@ -183,71 +290,49 @@ def estimate_kernel_time(
     occ = compute_occupancy(
         spec, config.warps_per_block, config.smem_per_block, config.regs_per_thread
     )
-
-    # --- utilization: how much of the device the grid actually covers -------
-    capacity = occ.blocks_per_sm * spec.sm_count
-    waves = max(1, math.ceil(config.grid_blocks / capacity))
-    blocks_in_flight = config.grid_blocks / waves
-    active_sms = min(spec.sm_count, blocks_in_flight)
-    sm_fraction = active_sms / spec.sm_count
-    # Per-SM occupancy achieved by the blocks actually resident.
-    blocks_per_active_sm = blocks_in_flight / max(active_sms, 1e-9)
-    local_occ = min(
-        1.0,
-        blocks_per_active_sm
-        * config.warps_per_block
-        / spec.max_warps_per_sm,
-    )
-
-    util_mem = sm_fraction * _saturation(local_occ, spec.mem_saturation_knee)
-    util_comp = sm_fraction * _saturation(local_occ, spec.comp_saturation_knee)
-
-    # --- phase times ---------------------------------------------------------
-    t_dram = cost.bytes_dram / (spec.dram_bandwidth * util_mem) if cost.bytes_dram else 0.0
-    t_l2 = (
-        cost.bytes_l2_read / (spec.l2_bandwidth * util_mem)
-        if cost.bytes_l2_read and spec.l2_bandwidth
-        else 0.0
-    )
-    t_smem = (
-        cost.bytes_smem
-        * cost.bank_conflict_factor
-        / (spec.smem_bandwidth * util_mem)
-        if cost.bytes_smem
-        else 0.0
-    )
-    t_tensor = (
-        cost.flops_tensor / (spec.fp16_tensor_flops * util_comp)
-        if cost.flops_tensor and spec.fp16_tensor_flops
-        else 0.0
-    )
-    t_simt = (
-        cost.flops_simt / (spec.fp32_simt_flops * util_comp)
-        if cost.flops_simt and spec.fp32_simt_flops
-        else 0.0
-    )
-
-    t_mem = t_dram + t_l2
-    t_comp = t_tensor + t_simt
-    if config.pipelined:
-        body = max(t_mem, t_smem, t_comp)
-    else:
-        body = t_mem + max(t_smem, t_comp)
-
-    t_sync = cost.sync_rounds * waves * spec.barrier_latency_s
-    t_launch = cost.launches * spec.kernel_launch_overhead_s
-    total = t_launch + body + t_sync
-
+    *phases, utilization, waves = _model(FLOAT_OPS, spec, occ.blocks_per_sm, cost, config)
     return TimeBreakdown(
-        total=total,
-        launch=t_launch,
-        dram=t_dram,
-        l2=t_l2,
-        smem=t_smem,
-        tensor=t_tensor,
-        simt=t_simt,
-        sync=t_sync,
-        occupancy=occ.occupancy,
-        utilization=sm_fraction,
-        waves=waves,
+        *phases, occupancy=occ.occupancy, utilization=utilization, waves=waves
     )
+
+
+#: The keywords of :func:`estimate_kernel_times` besides ``grid_blocks``:
+#: every other field of the two dataclasses, with its default.
+_BATCH_DEFAULTS = {
+    f.name: f.default
+    for cls in (LaunchConfig, KernelCost)
+    for f in fields(cls)
+    if f.name not in ("grid_blocks", "name")
+}
+
+
+def estimate_kernel_times(
+    spec: GPUSpec, *, grid_blocks: Any, **launch_fields: Any
+) -> np.ndarray:
+    """Total seconds of a batch of launches, in one array pass.
+
+    The keywords are the fields of :class:`LaunchConfig` and
+    :class:`KernelCost` (``name`` aside), with their defaults; each is a
+    scalar or an array, and they broadcast together.  Element ``i`` is
+    ``estimate_kernel_time(spec, cost_i, config_i).total`` bit for bit, and
+    ``+inf`` where that call raises :class:`ConfigError` because the block
+    does not fit on an SM.
+    """
+    unknown = launch_fields.keys() - _BATCH_DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"unknown launch fields {sorted(unknown)}")
+    batch = SimpleNamespace(
+        grid_blocks=grid_blocks, **{**_BATCH_DEFAULTS, **launch_fields}
+    )
+    batch.bytes_dram = batch.bytes_dram_read + batch.bytes_dram_written
+    warps, smem, regs = np.broadcast_arrays(
+        batch.warps_per_block, batch.smem_per_block, batch.regs_per_thread
+    )
+    shapes = zip(warps.ravel().tolist(), smem.ravel().tolist(), regs.ravel().tolist())
+    occupancies = [occupancy_or_reason(spec, w, s, r) for w, s, r in shapes]
+    # 0 resident blocks marks a block that does not fit (the reason is a str).
+    resident = np.array(
+        [0 if isinstance(occ, str) else occ.blocks_per_sm for occ in occupancies]
+    ).reshape(warps.shape)
+    total = _model(ARRAY_OPS, spec, np.maximum(resident, 1), batch, batch)[0]
+    return np.where(resident > 0, total, np.inf)

@@ -75,6 +75,10 @@ class BlockCounts:
     ``n_block_rows`` block rows, ``n_full`` FULL and ``n_part`` PART blocks,
     and ``n_unique_part`` distinct PART-block masks (the deduplicated
     ``part_mask`` stack).
+
+    The fields may also be integer arrays, one entry per tiling of a
+    candidate grid: ``n_valid`` and :meth:`metadata_bytes` are elementwise,
+    so the selector prices a whole grid through them in one pass.
     """
 
     block_m: int

@@ -21,6 +21,7 @@ simulated device prices from that tiling's block counts
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -28,7 +29,14 @@ import numpy as np
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES, to_fp16
 from repro.gpu.bank import bank_conflict_factor
-from repro.gpu.cost import KernelCost, LaunchConfig
+from repro.gpu.cost import (
+    ARRAY_OPS,
+    FLOAT_OPS,
+    KernelCost,
+    LaunchConfig,
+    Ops,
+    estimate_kernel_times,
+)
 from repro.gpu.specs import GPUSpec
 from repro.masks.bsr import BlockCounts, BlockKind, BlockSparseMask
 from repro.mha.kernel import AttentionKernel, Launch
@@ -87,71 +95,46 @@ class BlockWiseKernel(AttentionKernel):
         p = params or self.default_params(problem, spec)
         _validate_blocks(p["block_m"], p["block_n"])
         counts = problem.block_counts(p["block_m"], p["block_n"])
-        cost = self._counters(problem, counts, spec, p)
-        smem_bytes = required_smem_elems(
-            p["block_m"], p["block_n"], problem.head_size, p["padding"]
-        ) * FP16_BYTES
+        cost = KernelCost(
+            name=self.name,
+            **_cost_fields(FLOAT_OPS, problem, spec, counts, p["padding"]),
+        )
         config = LaunchConfig(
-            grid_blocks=problem.n_bh * counts.n_block_rows,
-            warps_per_block=p["num_warps"],
-            smem_per_block=smem_bytes,
-            pipelined=True,
+            **_launch_fields(problem, counts, p["num_warps"], p["padding"])
         )
         return [(cost, config)]
 
-    def _counters(
+    def setting_times(
         self,
         problem: AttentionProblem,
-        counts: BlockCounts,
         spec: GPUSpec,
-        p: dict[str, Any],
-    ) -> KernelCost:
-        bm, bn = p["block_m"], p["block_n"]
-        d = problem.head_size
-        n_bh = problem.n_bh
-        n_valid = counts.n_valid
-        n_part = counts.n_part
-        n_rows = counts.n_block_rows
+        settings: list[tuple[int, int, int]],
+        padding: int = DEFAULT_PADDING,
+    ) -> np.ndarray:
+        """Estimated seconds of each ``(block_m, block_n, num_warps)``
+        setting, priced in one array pass.
 
-        q_bytes = problem.qkv_bytes
-        out_bytes = problem.qkv_bytes
-        kv_block_bytes = bn * d * FP16_BYTES
-        # Every valid block visit loads one K^T tile and one V tile.
-        kv_load_total = n_bh * n_valid * kv_block_bytes * 2.0
-        kv_resident = 2.0 * problem.kv_bytes  # all of K and V
-        kv_first = min(kv_load_total, kv_resident)
-        kv_reread = kv_load_total - kv_first
-        if kv_resident <= spec.l2_bytes:
-            l2_read = kv_reread
-            dram_read = q_bytes + kv_first
-        else:
-            l2_read = 0.0
-            dram_read = q_bytes + kv_load_total
-
-        # PART-block element masks (1 byte/element on device, deduplicated
-        # stack is L2-resident after first touch) + index metadata.
-        meta_first = counts.metadata_bytes()
-        mask_visits = n_bh * n_part * bm * bn * 1.0
-        dram_read += meta_first
-        l2_read += max(0.0, mask_visits - meta_first)
-
-        scores_staged = n_bh * n_valid * bm * bn * FP16_BYTES
-        smem_traffic = 2.0 * (kv_load_total + q_bytes + scores_staged)
-
-        conflict = bank_conflict_factor(d + p["padding"])
-
-        avg_valid_per_row = n_valid / max(1, n_rows)
-        return KernelCost(
-            name=self.name,
-            bytes_dram_read=dram_read,
-            bytes_dram_written=out_bytes,
-            bytes_l2_read=l2_read,
-            bytes_smem=smem_traffic,
-            bank_conflict_factor=float(conflict),
-            flops_tensor=n_bh * n_valid * 4.0 * bm * bn * d,  # QK^T + PV
-            flops_simt=n_bh * n_valid * SIMT_FLOPS_PER_SCORE * bm * bn,
-            sync_rounds=avg_valid_per_row,
-            launches=1,
+        Element ``i`` equals :meth:`estimate_time` of setting ``i`` bit for
+        bit, and is ``+inf`` where that launch does not fit on an SM.
+        """
+        names = [f.name for f in fields(BlockCounts)]
+        rows: dict[tuple[int, int], int] = {}
+        tilings = []
+        for bm, bn, _ in settings:
+            if (bm, bn) not in rows:
+                _validate_blocks(bm, bn)
+                rows[bm, bn] = len(tilings)
+                tiling = problem.block_counts(bm, bn)
+                tilings.append([getattr(tiling, name) for name in names])
+        # One BlockCounts whose fields are arrays over the settings: its
+        # formulas, like the cost fields', are elementwise.
+        pick = [rows[bm, bn] for bm, bn, _ in settings]
+        counts = BlockCounts(*np.array(tilings, dtype=np.int64)[pick].T)
+        warps = np.array([w for _, _, w in settings], dtype=np.int64)
+        return estimate_kernel_times(
+            spec,
+            **_launch_fields(problem, counts, warps, padding),
+            **_cost_fields(ARRAY_OPS, problem, spec, counts, padding),
         )
 
     # ------------------------------------------------------------------- run
@@ -224,6 +207,81 @@ class BlockWiseKernel(AttentionKernel):
             )
 
         return out
+
+
+def _launch_fields(
+    problem: AttentionProblem, counts: BlockCounts, num_warps: Any, padding: int
+) -> dict[str, Any]:
+    """The :class:`LaunchConfig` fields of a tiling, or of a grid of them."""
+    return {
+        "grid_blocks": problem.n_bh * counts.n_block_rows,
+        "warps_per_block": num_warps,
+        "smem_per_block": required_smem_elems(
+            counts.block_m, counts.block_n, problem.head_size, padding
+        ) * FP16_BYTES,
+        "pipelined": True,
+    }
+
+
+def _cost_fields(
+    ops: Ops,
+    problem: AttentionProblem,
+    spec: GPUSpec,
+    counts: BlockCounts,
+    padding: int,
+) -> dict[str, Any]:
+    """The :class:`KernelCost` fields of a tiling from its block counts.
+
+    One body for one tiling (Python numbers, :data:`FLOAT_OPS`) and for a
+    grid of tilings (``counts`` fields are arrays, :data:`ARRAY_OPS`); see
+    :class:`repro.gpu.cost.Ops`.
+    """
+    bm, bn = counts.block_m, counts.block_n
+    d = problem.head_size
+    n_bh = problem.n_bh
+    n_valid = counts.n_valid
+    n_part = counts.n_part
+    n_rows = counts.n_block_rows
+
+    q_bytes = problem.qkv_bytes
+    out_bytes = problem.qkv_bytes
+    kv_block_bytes = bn * d * FP16_BYTES
+    # Every valid block visit loads one K^T tile and one V tile.
+    kv_load_total = n_bh * n_valid * kv_block_bytes * 2.0
+    kv_resident = 2.0 * problem.kv_bytes  # all of K and V
+    kv_first = ops.minimum(kv_load_total, kv_resident)
+    kv_reread = kv_load_total - kv_first
+    if kv_resident <= spec.l2_bytes:
+        l2_read = kv_reread
+        dram_read = q_bytes + kv_first
+    else:
+        l2_read = 0.0
+        dram_read = q_bytes + kv_load_total
+
+    # PART-block element masks (1 byte/element on device, deduplicated
+    # stack is L2-resident after first touch) + index metadata.
+    meta_first = counts.metadata_bytes()
+    mask_visits = n_bh * n_part * bm * bn * 1.0
+    dram_read += meta_first
+    l2_read += ops.maximum(0.0, mask_visits - meta_first)
+
+    scores_staged = n_bh * n_valid * bm * bn * FP16_BYTES
+    smem_traffic = 2.0 * (kv_load_total + q_bytes + scores_staged)
+
+    conflict = bank_conflict_factor(d + padding)
+
+    avg_valid_per_row = n_valid / ops.maximum(1, n_rows)
+    return {
+        "bytes_dram_read": dram_read,
+        "bytes_dram_written": out_bytes,
+        "bytes_l2_read": l2_read,
+        "bytes_smem": smem_traffic,
+        "bank_conflict_factor": float(conflict),
+        "flops_tensor": n_bh * n_valid * 4.0 * bm * bn * d,  # QK^T + PV
+        "flops_simt": n_bh * n_valid * SIMT_FLOPS_PER_SCORE * bm * bn,
+        "sync_rounds": avg_valid_per_row,
+        "launches": 1,
+    }
 
 
 def _validate_blocks(block_m: int, block_n: int) -> None:

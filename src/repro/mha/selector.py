@@ -17,9 +17,10 @@ Two selector modes are provided:
   choosing the highest score.
 
 * ``mode="model"`` (STOF's default here) — the same decision made by
-  evaluating the device cost model analytically: both kernels (and every
-  feasible block setting) are priced by
-  :func:`repro.gpu.cost.estimate_kernel_time` and the cheapest wins.  No
+  evaluating the device cost model analytically: both kernels are priced
+  by :func:`repro.gpu.cost.estimate_kernel_time`, every feasible block
+  setting in one array pass by its twin
+  :func:`repro.gpu.cost.estimate_kernel_times`, and the cheapest wins.  No
   execution is involved; this *is* an analytical model, parameterized by
   the hardware spec exactly as the paper's is.
 
@@ -34,8 +35,10 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
@@ -172,7 +175,9 @@ def select_block_params(
     ``mode="paper"``: Eq. 2's arg-max.  ``mode="model"``: cheapest setting
     under the device cost model (still purely analytical), every tiling
     priced from :meth:`AttentionProblem.block_counts`, so no candidate
-    builds its own BSR.
+    builds its own BSR, and every setting priced in one array pass
+    (:meth:`BlockWiseKernel.setting_times`); a setting whose launch does
+    not fit on an SM is skipped.
     """
     if mode == "paper":
         best = eq2_candidates(problem, spec, padding)[0]
@@ -183,33 +188,14 @@ def select_block_params(
             "padding": padding,
         }
     if mode == "model":
-        kernel = BlockWiseKernel()
-        best_params: dict[str, Any] | None = None
-        best_t = math.inf
-        tiling = None
-        for bm, bn, warps in _feasible_settings(problem, spec, padding):
-            params = {
-                "block_m": bm,
-                "block_n": bn,
-                "num_warps": warps,
-                "padding": padding,
-            }
-            try:
-                # The launch's counters depend on the tiling, not the warp
-                # count: price each tiling once, then each warp count.
-                if (bm, bn) != tiling:
-                    [(cost, config)] = kernel.plan(problem, spec, params)
-                    tiling = (bm, bn)
-                t = estimate_kernel_time(
-                    spec, cost, replace(config, warps_per_block=warps)
-                ).total
-            except ConfigError:
-                continue  # infeasible launch (occupancy) — skip like a tuner
-            if t < best_t:
-                best_t, best_params = t, params
-        if best_params is None:
+        settings = _feasible_settings(problem, spec, padding)
+        times = _BLOCK.setting_times(problem, spec, settings, padding)
+        # argmin keeps the first of equal times, as a strict-``<`` scan does.
+        best = int(np.argmin(times))
+        if times[best] == math.inf:
             raise ConfigError("no feasible block-wise launch configuration")
-        return best_params
+        bm, bn, warps = settings[best]
+        return {"block_m": bm, "block_n": bn, "num_warps": warps, "padding": padding}
     raise ConfigError(f"unknown selector mode {mode!r}")
 
 

@@ -863,6 +863,9 @@ class ServingEngine:
             if tr.done:
                 tr.finish_s = clock
                 tr.state = RequestState.FINISHED
+                # Nothing reads a finished request's mask again; drop its
+                # max_context^2 bytes now, not at the end of the run.
+                tr._full_mask = None
                 if tr in waiting:      # preempted in the same step it finished
                     waiting.remove(tr)
                 finished.append(tr)

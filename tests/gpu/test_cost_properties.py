@@ -4,10 +4,20 @@ Every benchmark shape rests on these laws holding everywhere in the input
 space, not just at the calibrated points — so they are hypothesis-tested.
 """
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.gpu.cost import KernelCost, LaunchConfig, estimate_kernel_time
+from repro.core.errors import ConfigError
+from repro.gpu.cost import (
+    KernelCost,
+    LaunchConfig,
+    estimate_kernel_time,
+    estimate_kernel_times,
+)
 from repro.gpu.specs import A100, H100, RTX4090
 
 SPECS = [A100, RTX4090, H100]
@@ -111,3 +121,75 @@ def test_bigger_grid_never_slower_for_fixed_volume(grid, w, spec):
     t1 = estimate_kernel_time(spec, cost, cfg1).total
     t2 = estimate_kernel_time(spec, cost, cfg2).total
     assert t2 <= t1 * 1.01 + 1e-12  # tiny tolerance for wave quantization
+
+
+# ------------------------------------------------- scalar and array evaluation
+#
+# One formula body prices a launch on Python floats and a candidate grid on
+# NumPy arrays; the array path must give the scalar path's doubles.
+
+#: Specs with a missing throughput path (the ``if spec.X`` guards) and one on
+#: which every 8-warp block fails occupancy.
+ARRAY_SPECS = SPECS + [
+    A100.with_overrides(l2_bandwidth=0.0),
+    RTX4090.with_overrides(fp16_tensor_flops=0.0),
+    H100.with_overrides(fp32_simt_flops=0.0, l2_bandwidth=0.0),
+    A100.with_overrides(max_threads_per_block=128),
+]
+
+#: Volumes that are often exactly zero (the ``where(volume, ...)`` guards).
+maybe_zero = st.one_of(st.just(0.0), volumes)
+
+
+@st.composite
+def launches(draw):
+    cost = KernelCost(
+        name="p",
+        bytes_dram_read=draw(maybe_zero),
+        bytes_dram_written=draw(maybe_zero),
+        bytes_l2_read=draw(maybe_zero),
+        bytes_smem=draw(maybe_zero),
+        bank_conflict_factor=draw(st.sampled_from([1.0, 2.0, 8.0, 32.0])),
+        flops_tensor=draw(st.one_of(st.just(0.0), st.floats(0, 1e13))),
+        flops_simt=draw(st.one_of(st.just(0.0), st.floats(0, 1e12))),
+        sync_rounds=draw(st.one_of(st.just(0.0), st.floats(0, 1e4))),
+        launches=draw(st.integers(0, 3)),
+    )
+    # Warps, SMEM and registers range past what fits, so some launches
+    # raise ConfigError in the scalar path.
+    config = LaunchConfig(
+        grid_blocks=draw(grids),
+        warps_per_block=draw(st.sampled_from([1, 2, 4, 8, 16, 32, 33, 64])),
+        smem_per_block=draw(st.integers(0, 240 * 1024)),
+        regs_per_thread=draw(st.sampled_from([16, 32, 64, 128, 255])),
+        pipelined=draw(st.booleans()),
+    )
+    return cost, config
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(ARRAY_SPECS),
+    batch=st.lists(launches(), min_size=1, max_size=16),
+)
+def test_array_totals_equal_scalar_totals_bit_for_bit(spec, batch):
+    """``+inf`` exactly where the scalar path raises, its double elsewhere."""
+    fields = {
+        f.name: np.array([getattr(cost, f.name) for cost, _ in batch])
+        for f in dataclasses.fields(KernelCost)
+        if f.name != "name"
+    }
+    fields.update(
+        (f.name, np.array([getattr(config, f.name) for _, config in batch]))
+        for f in dataclasses.fields(LaunchConfig)
+    )
+    expected = []
+    for cost, config in batch:
+        try:
+            total = estimate_kernel_time(spec, cost, config).total
+            assert math.isfinite(total)
+        except ConfigError:
+            total = math.inf
+        expected.append(total.hex())
+    got = estimate_kernel_times(spec, **fields).tolist()
+    assert [t.hex() for t in got] == expected

@@ -79,3 +79,46 @@ class TestDeviceDifferences:
         compute_occupancy(A100, 4, big)  # fits
         with pytest.raises(ConfigError):
             compute_occupancy(RTX4090, 4, big)
+
+
+class TestMemo:
+    """Occupancy is memoized per (spec, warps, smem, regs)."""
+
+    def test_hit_equals_fresh_computation(self, spec):
+        from repro.gpu.occupancy import occupancy_or_reason
+
+        for warps, smem in ((1, 0), (4, 48 * 1024), (8, 16 * 1024)):
+            fresh = occupancy_or_reason.__wrapped__(spec, warps, smem, 32)
+            assert compute_occupancy(spec, warps, smem) == fresh
+            assert compute_occupancy(spec, warps, smem) == fresh
+
+    def test_each_infeasible_call_raises_a_new_error(self, a100):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConfigError) as info:
+                compute_occupancy(a100, warps_per_block=33, smem_per_block=0)
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+
+    def test_failures_pin_no_caller_frame(self, a100):
+        """A cached exception would keep every frame it was raised through,
+        and their locals, alive for the life of the process."""
+        import gc
+        import weakref
+
+        import numpy as np
+
+        def failing_call(large):
+            try:
+                compute_occupancy(a100, warps_per_block=33, smem_per_block=0)
+            except ConfigError:
+                pass
+
+        large = np.zeros(1 << 17)
+        ref = weakref.ref(large)
+        failing_call(large)
+        failing_call(large)
+        del large
+        gc.collect()
+        assert ref() is None

@@ -207,6 +207,10 @@ def assert_plan_matches_oracle(problem, spec):
     )
 
 
+#: A spec on which every 8-warp (256-thread) setting fails occupancy.
+NO_8_WARP_BLOCKS = A100.with_overrides(max_threads_per_block=128)
+
+
 class TestSelectorMatchesPerTilingOracle:
     """Pricing every tiling from one 16x16 BSR changes no plan: same choice,
     same params, bit-identical estimate."""
@@ -219,7 +223,7 @@ class TestSelectorMatchesPerTilingOracle:
     def test_patterns_at_ragged_lengths(self, pattern, seq_len, shape):
         batch, heads, head_size = shape
         mask = make_pattern(pattern, seq_len, rng=RngStream(seq_len).fork(pattern))
-        for spec in (A100, RTX4090):
+        for spec in (A100, RTX4090, NO_8_WARP_BLOCKS):
             assert_plan_matches_oracle(
                 AttentionProblem(batch, heads, seq_len, head_size, mask), spec
             )

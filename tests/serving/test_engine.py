@@ -236,6 +236,35 @@ class TestMemoryPressure:
         assert report.preemptions > 0
         assert report.kv_peak_occupancy <= 1.0 + 1e-12
 
+    def test_finished_requests_release_their_masks(self, monkeypatch):
+        """A request drops its dense mask when it finishes, and no request
+        builds its mask twice, preempted and re-admitted ones included."""
+        import repro.serving.request as request_module
+        from repro.serving.metrics import RequestMetrics
+
+        built, finished = [], []
+        make_pattern = request_module.make_pattern
+        from_tracker = RequestMetrics.from_tracker.__func__
+
+        def counting_make_pattern(*args, **kwargs):
+            built.append(args[0])
+            return make_pattern(*args, **kwargs)
+
+        def recording_from_tracker(cls, tr):
+            finished.append(tr)
+            return from_tracker(cls, tr)
+
+        monkeypatch.setattr(request_module, "make_pattern", counting_make_pattern)
+        monkeypatch.setattr(
+            RequestMetrics, "from_tracker", classmethod(recording_from_tracker)
+        )
+        trace = self.growth_trace()
+        report = run(trace, "continuous", config=self.pressured_config(trace))
+        assert report.preemptions > 0
+        assert len(finished) == len(trace)
+        assert all(tr._full_mask is None for tr in finished)
+        assert len(built) == len(trace)
+
     def test_static_serializes_under_pressure(self):
         """Static batching cannot preempt; worst-case reservation makes it
         run (nearly) one request at a time instead of failing."""
