@@ -48,11 +48,17 @@ class RngStream:
     def __init__(self, seed: int = DEFAULT_SEED, path: tuple[str, ...] = ()):
         self.root_seed = int(seed)
         self.path = tuple(path)
-        self._gen = np.random.default_rng(derive_seed(self.root_seed, *self.path))
+        self._seed = derive_seed(self.root_seed, *self.path)
+        self._gen: np.random.Generator | None = None
 
     @property
     def generator(self) -> np.random.Generator:
-        """The underlying NumPy generator (stateful; use sparingly)."""
+        """The underlying NumPy generator (stateful; use sparingly).
+
+        Built on first use: a fork that never draws costs one hash.
+        """
+        if self._gen is None:
+            self._gen = np.random.default_rng(self._seed)
         return self._gen
 
     def fork(self, name: str) -> "RngStream":
@@ -62,22 +68,22 @@ class RngStream:
     # Convenience passthroughs -------------------------------------------------
 
     def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def random(self, size=None) -> np.ndarray:
-        return self._gen.random(size)
+        return self.generator.random(size)
 
     def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+        return self.generator.standard_normal(size)
 
     def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
+        return self.generator.choice(a, size=size, replace=replace, p=p)
 
     def shuffle(self, x) -> None:
-        self._gen.shuffle(x)
+        self.generator.shuffle(x)
 
     def permutation(self, x) -> np.ndarray:
-        return self._gen.permutation(x)
+        return self.generator.permutation(x)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "/".join(self.path) or "<root>"

@@ -15,6 +15,10 @@ signature ``(base, dims)`` so a lookup with a fresh shape can scan the
 candidate families whose guards admit it (``find_family``).  A concrete
 key is the degenerate family with no free dims — ``get_or_build_family``
 with ``dims=()`` is byte-for-byte the old concrete path.
+
+A kind registered with ``index_salts`` is also kept per salt, in the
+cache's recency order, so a site that reads all of one salt's entries
+(the tuner's ``best_for``) scans that salt, not the whole cache.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ class PlanCache:
         self.splits = 0
         self._kind_guard_checks: dict[str, int] = {}
         self._kind_splits: dict[str, int] = {}
+        # Salt index of the kinds passed to ``index_salts``: kind -> salt ->
+        # {key: value} in the order of ``_entries``.  Structural, like
+        # ``_families``; empty (one falsy test per call) for every other
+        # cache.
+        self._salts: dict[str, dict[str, OrderedDict[PlanKey, Any]]] = {}
 
     # ----------------------------------------------------------------- core
 
@@ -72,6 +81,10 @@ class PlanCache:
             self.hits += 1
             self._kind_hits[key.kind] = self._kind_hits.get(key.kind, 0) + 1
             self._entries.move_to_end(key)
+            if self._salts:
+                salts = self._salts.get(key.kind)
+                if salts is not None:
+                    salts[key.salt].move_to_end(key)
             m = current_metrics()
             if m.enabled:
                 m.counter("plan_cache.lookups", kind=key.kind, outcome="hit").inc()
@@ -90,16 +103,59 @@ class PlanCache:
         elif isinstance(key, SymbolicPlanKey):
             self._register_family(key, count_split=True)
         self._entries[key] = value
+        if self._salts:
+            self._index(key, value)
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
                 evicted_key, _ = self._entries.popitem(last=False)
                 if isinstance(evicted_key, SymbolicPlanKey):
                     self._deregister_family(evicted_key)
+                if self._salts:
+                    self._unindex(evicted_key)
                 self.evictions += 1
                 m = current_metrics()
                 if m.enabled:
                     m.counter("plan_cache.evictions", kind=evicted_key.kind).inc()
         return value
+
+    def _index(self, key: PlanKey, value: Any) -> None:
+        """Mirror a put into the salt index (most recent last)."""
+        salts = self._salts.get(key.kind)
+        if salts is not None:
+            entries = salts.get(key.salt)
+            if entries is None:
+                entries = salts[key.salt] = OrderedDict()
+            entries[key] = value
+            entries.move_to_end(key)
+
+    def _unindex(self, key: PlanKey) -> None:
+        salts = self._salts.get(key.kind)
+        if salts is not None:
+            entries = salts[key.salt]
+            del entries[key]
+            if not entries:
+                del salts[key.salt]
+
+    def index_salts(self, kind: str) -> None:
+        """Keep ``kind``'s entries indexed by salt (see ``salt_items``).
+
+        Idempotent; entries already cached are indexed on the first call.
+        """
+        if kind in self._salts:
+            return
+        self._salts[kind] = {}
+        for key, value in self._entries.items():
+            if key.kind == kind:
+                self._index(key, value)
+
+    def salt_items(self, kind: str, salt: str) -> list[tuple[PlanKey, Any]]:
+        """``(key, value)`` of ``kind``'s entries under ``salt``, least
+        recently used first — the order of :meth:`items`.
+
+        ``kind`` must have been registered with :meth:`index_salts`.
+        """
+        entries = self._salts[kind].get(salt)
+        return list(entries.items()) if entries else []
 
     def _register_family(self, key: SymbolicPlanKey, count_split: bool) -> None:
         members = self._families.setdefault(key.signature, [])
@@ -238,6 +294,8 @@ class PlanCache:
         """Drop all entries (statistics are kept; see ``reset_stats``)."""
         self._entries.clear()
         self._families.clear()
+        for salts in self._salts.values():
+            salts.clear()
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -14,7 +14,11 @@ measurements in the plan layer, a :class:`repro.plan.PlanCache` under
 ``kind="tuner-measure"`` keys (the segment id in the salt, ``params_key``
 as the key's params), and adds what tuning needs on top: simulated
 tuning-cost accounting, cached launch failures, ``best_for`` and the v1
-JSON format of ``save`` / ``load``.
+JSON format of ``save`` / ``load``.  ``best_for`` reads the plan cache's
+per-salt index of tuner keys, so its cost follows one segment's settings,
+not the whole cache.  A caller that measures the same settings many
+times derives each :class:`Setting` (params plus key) once and prices it
+with :meth:`PerformanceCache.evaluate_key`.
 
 The cache can be persisted to JSON (:meth:`PerformanceCache.save` /
 :meth:`PerformanceCache.load`) so a later session warm-starts from prior
@@ -28,7 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Hashable
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.errors import ConfigError
 from repro.obs.metrics import current_metrics
@@ -39,6 +44,42 @@ from repro.plan import params_key as params_key  # noqa: F401  (re-export)
 TUNER_KIND = "tuner-measure"
 
 _MISSING = object()
+
+
+def _segment_id(segment_id: Hashable) -> str:
+    """Segment ids are normalized through ``repr`` so they survive JSON."""
+    return segment_id if isinstance(segment_id, str) else repr(segment_id)
+
+
+def measurement_key(segment_id: Hashable, params: Mapping[str, Any]) -> PlanKey:
+    """The plan-cache key of one measurement of ``params`` on a segment."""
+    return PlanKey(
+        kind=TUNER_KIND, salt=_segment_id(segment_id), params=params_key(params)
+    )
+
+
+class Setting:
+    """A parameter setting of a segment and its measurement key.
+
+    The key is derived on first use and kept, so a memoized setting pays
+    for its ``params_key`` once however often it is measured, and one
+    that is never measured pays nothing.  ``params`` is a read-only view:
+    one setting can be handed to every caller without sharing mutable
+    state.
+    """
+
+    __slots__ = ("params", "segment_id", "_key")
+
+    def __init__(self, segment_id: Hashable, params: dict[str, Any]) -> None:
+        self.params: Mapping[str, Any] = MappingProxyType(params)
+        self.segment_id = segment_id
+        self._key: PlanKey | None = None
+
+    @property
+    def key(self) -> PlanKey:
+        if self._key is None:
+            self._key = measurement_key(self.segment_id, self.params)
+        return self._key
 
 
 @dataclass
@@ -84,18 +125,11 @@ class PerformanceCache:
         self.cost_model = cost_model or EvalCostModel()
         self.enabled = enabled
         self.plans = plans if plans is not None else PlanCache(max_entries=None)
+        self.plans.index_salts(TUNER_KIND)
         self.hits = 0
         self.misses = 0
         self.failures = 0
         self.tuning_time_s = 0.0
-
-    @staticmethod
-    def _norm(segment_id: Hashable) -> str:
-        return segment_id if isinstance(segment_id, str) else repr(segment_id)
-
-    @staticmethod
-    def _key(norm_segment_id: str, pkey: tuple) -> PlanKey:
-        return PlanKey(kind=TUNER_KIND, salt=norm_segment_id, params=pkey)
 
     @property
     def entries(self) -> dict[tuple[str, tuple], float]:
@@ -126,10 +160,16 @@ class PerformanceCache:
         measurement per family, with guard failures re-measuring under a
         split instead of silently reusing a stale time.
         """
-        key = self._key(self._norm(segment_id), params_key(params))
+        key = measurement_key(segment_id, params)
         if family is not None:
             dims, shape, guards = family
             key = self.plans.family_key(key, tuple(dims), shape, guards)
+        return self.evaluate_key(key, measure)
+
+    def evaluate_key(
+        self, key: PlanKey, measure: Callable[[], float]
+    ) -> float | None:
+        """:meth:`evaluate` under a key already derived (``Setting.key``)."""
         m = current_metrics()
         if self.enabled:
             cached = self.plans.get(key, _MISSING)
@@ -162,15 +202,14 @@ class PerformanceCache:
         """(best time, params key) over all cached settings of a segment.
 
         Settings are taken in plan-cache order, as in :attr:`entries`; the
-        first of equal times wins.
+        first of equal times wins.  Only the segment's own entries are read
+        (the plan cache's salt index).
         """
-        norm = self._norm(segment_id)
         times: dict[tuple, float] = {}
-        for key, t in self.plans.items():
-            if key.kind == TUNER_KIND and key.salt == norm:
-                # A later guard sibling of the same setting overrides the
-                # time but keeps the setting's place, as in ``entries``.
-                times[key.params] = t
+        for key, t in self.plans.salt_items(TUNER_KIND, _segment_id(segment_id)):
+            # A later guard sibling of the same setting overrides the
+            # time but keeps the setting's place, as in ``entries``.
+            times[key.params] = t
         best: tuple[float, tuple] | None = None
         for pkey, t in times.items():
             if t == float("inf"):
@@ -203,21 +242,37 @@ class PerformanceCache:
         cost_model: EvalCostModel | None = None,
         plans: PlanCache | None = None,
     ) -> "PerformanceCache":
-        """Rebuild a cache from :meth:`save` output."""
+        """Rebuild a cache from :meth:`save` output.
+
+        Any unreadable file, wrong version or malformed entry raises
+        :class:`ConfigError` naming the file, before anything is cached.
+        """
         try:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load performance cache from {path}: {exc}")
-        if payload.get("version") != 1:
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != 1:
+            raise ConfigError(f"unsupported cache version {version!r} in {path}")
+        try:
+            rows = [
+                (
+                    PlanKey(
+                        kind=TUNER_KIND,
+                        salt=sid,
+                        params=tuple(tuple(kv) for kv in pkey_list),
+                    ),
+                    float("inf") if t is None else float(t),
+                )
+                for sid, pkey_list, t in payload["entries"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
-                f"unsupported cache version {payload.get('version')!r} in {path}"
-            )
+                f"malformed performance cache entries in {path}: {exc!r}"
+            ) from exc
         cache = cls(cost_model=cost_model or EvalCostModel(), plans=plans)
-        for sid, pkey_list, t in payload["entries"]:
-            pkey = tuple(tuple(kv) for kv in pkey_list)
-            cache.plans.put(
-                cache._key(sid, pkey), float("inf") if t is None else float(t)
-            )
+        for key, t in rows:
+            cache.plans.put(key, t)
         return cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

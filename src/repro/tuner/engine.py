@@ -16,7 +16,9 @@ Per operator chain:
 
 Chains with identical operator/shape signatures share cache entries, so a
 24-layer model tunes each distinct segment once — this, plus the reward
-allocation, is where STOF's Table 4 advantage comes from.
+allocation, is where STOF's Table 4 advantage comes from.  The engine
+also derives each candidate list once: a repeated chain replays its
+settings, with their measurement keys, and measures through cache hits.
 
 Host-side bookkeeping time (hash encoding, template matching, reward
 algorithm, the analytical initialization) is measured separately into
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from repro.core.errors import TuningError
 from repro.core.rng import RngStream
@@ -38,8 +40,8 @@ from repro.graph.ir import Graph
 from repro.gpu.specs import GPUSpec
 from repro.obs.tracer import current_tracer
 from repro.plan import PlanCache
-from repro.tuner.cache import EvalCostModel, PerformanceCache
-from repro.tuner.sampler import RewardSampler
+from repro.tuner.cache import EvalCostModel, PerformanceCache, Setting
+from repro.tuner.sampler import RewardSampler, shuffled_settings
 
 
 def segment_signature(template: CompilationTemplate) -> tuple:
@@ -129,44 +131,97 @@ class TwoStageEngine:
         self.cache = cache or PerformanceCache(
             cost_model or EvalCostModel(), plans=plan_cache
         )
+        # Candidate lists by everything their draw reads; they die with
+        # the engine.
+        self._settings: dict[tuple, list[Setting]] = {}
 
     # ----------------------------------------------------------- primitives
 
-    def _measure(self, template: CompilationTemplate, params: dict[str, Any]) -> float | None:
-        return self.cache.evaluate(
-            template.segment.signature_key,
-            params,
-            lambda: template.estimate_time(self.spec, params),
+    def _measure(self, template: CompilationTemplate, setting: Setting) -> float | None:
+        return self.cache.evaluate_key(
+            setting.key, lambda: template.estimate_time(self.spec, setting.params)
         )
+
+    def _memoized(
+        self,
+        memo_key: tuple,
+        segment_id: str,
+        draw: Callable[[], list[dict[str, Any]]],
+    ) -> list[Setting]:
+        settings = self._settings.get(memo_key)
+        if settings is None:
+            settings = [Setting(segment_id, params) for params in draw()]
+            self._settings[memo_key] = settings
+        return settings
+
+    def _stage1_settings(
+        self,
+        template: CompilationTemplate,
+        n_samples: int,
+        rng: RngStream,
+    ) -> list[Setting]:
+        """The default + ``n_samples`` random settings of a segment.
+
+        The sample stream is keyed by the segment's *content* signature, so
+        identical segments (repeated layers) draw identical candidates.
+        """
+        space = template.param_space()
+        default = template.default_params(self.spec)
+        segment_id = template.segment.signature_key
+
+        def draw() -> list[dict[str, Any]]:
+            keys = list(space)
+            stream = rng.fork(f"s1-{segment_id}").generator
+            return [default] + [
+                {k: space[k][stream.integers(len(space[k]))] for k in keys}
+                for _ in range(n_samples)
+            ]
+
+        memo_key = (
+            "s1", rng.root_seed, rng.path, segment_id,
+            tuple(space.items()), tuple(default.items()), n_samples,
+        )
+        return self._memoized(memo_key, segment_id, draw)
+
+    def _sampler(
+        self, templates: list[CompilationTemplate], rng: RngStream
+    ) -> RewardSampler:
+        """Stage 2's sampler over each segment's shuffled settings."""
+        candidates = []
+        for template in templates:
+            space = template.param_space()
+            segment_id = template.segment.signature_key
+
+            def draw() -> list[dict[str, Any]]:
+                stream = rng.fork("reward-sampler").fork(f"seg-{segment_id}")
+                return shuffled_settings(space, stream)
+
+            memo_key = (
+                "s2", rng.root_seed, rng.path, segment_id, tuple(space.items())
+            )
+            candidates.append(self._memoized(memo_key, segment_id, draw))
+        return RewardSampler.over(candidates)
 
     def _eval_segment(
         self,
         template: CompilationTemplate,
         n_samples: int,
         rng: RngStream,
-    ) -> tuple[float, dict[str, Any]] | None:
+    ) -> tuple[float, Mapping[str, Any]] | None:
         """Default + ``n_samples`` random settings; best observed.
 
-        The sample stream is keyed by the segment's *content* signature, so
-        identical segments (repeated layers) draw identical candidates and
-        the shared cache absorbs every repeat.
+        Identical segments draw identical candidates, so the shared cache
+        absorbs every repeat.
         """
-        space = template.param_space()
-        candidates: list[dict[str, Any]] = [template.default_params(self.spec)]
-        keys = list(space)
-        segment_id = template.segment.signature_key
-        stream = rng.fork(f"s1-{segment_id}").generator
-        for _ in range(n_samples):
-            candidates.append({k: space[k][stream.integers(len(space[k]))] for k in keys})
-        best: tuple[float, dict[str, Any]] | None = None
-        for params in candidates:
-            t = self._measure(template, params)
+        best: tuple[float, Mapping[str, Any]] | None = None
+        for setting in self._stage1_settings(template, n_samples, rng):
+            t = self._measure(template, setting)
             if t is None:
                 continue
             if best is None or t < best[0]:
-                best = (t, params)
+                best = (t, setting.params)
         # Fold in anything already cached for this signature (cross-layer reuse).
-        cached = self.cache.best_for(segment_id)
+        cached = self.cache.best_for(template.segment.signature_key)
         if cached is not None and (best is None or cached[0] < best[0]):
             best = (cached[0], dict(cached[1]))
         return best
@@ -212,7 +267,7 @@ class TwoStageEngine:
         )
         overhead.analytical_model_s += time.perf_counter() - t0
 
-        seg_best: dict[tuple[int, int], tuple[float, dict[str, Any]]] = {}
+        seg_best: dict[tuple[int, int], tuple[float, Mapping[str, Any]]] = {}
 
         def eval_scheme(s: tuple[int, ...]) -> float | None:
             """Total best-known time of a scheme; None if infeasible."""
@@ -283,11 +338,7 @@ class TwoStageEngine:
         templates = converter.scheme_templates(scheme)
         assert templates is not None
         t0 = time.perf_counter()
-        sampler = RewardSampler(
-            [t.param_space() for t in templates],
-            rng,
-            segment_keys=[t.segment.signature_key for t in templates],
-        )
+        sampler = self._sampler(templates, rng)
         overhead.reward_algorithm_s += time.perf_counter() - t0
 
         bounds = []
@@ -314,17 +365,17 @@ class TwoStageEngine:
                     t0 = time.perf_counter()
                     draws = sampler.draw(i, count)
                     overhead.reward_algorithm_s += time.perf_counter() - t0
-                    for params in draws:
-                        t = self._measure(template, params)
+                    for setting in draws:
+                        t = self._measure(template, setting)
                         if t is None:
                             continue
                         t0 = time.perf_counter()
-                        sampler.record(i, params, t)
+                        sampler.record(i, setting.params, t)
                         overhead.reward_algorithm_s += time.perf_counter() - t0
                         if t < best_times[i]:
                             improvements[i] = max(improvements[i], best_times[i] - t)
                             best_times[i] = t
-                            best_params[i] = dict(params)
+                            best_params[i] = dict(setting.params)
                 if max(improvements, default=0.0) > 0.0:
                     t0 = time.perf_counter()
                     sampler.reward(improvements.index(max(improvements)))

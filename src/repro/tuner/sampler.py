@@ -19,13 +19,27 @@ from repro.core.rng import RngStream
 #: Multiplicative weight boost for the best-improving segment per round.
 REWARD_FACTOR = 1.5
 
+#: Settings kept per segment, in shuffled order.
+MAX_CANDIDATES_PER_SEGMENT = 256
+
+
+def shuffled_settings(
+    space: dict[str, tuple],
+    stream: RngStream,
+    cap: int = MAX_CANDIDATES_PER_SEGMENT,
+) -> list[dict[str, Any]]:
+    """Every setting of ``space``, in ``stream``'s shuffled order, up to ``cap``."""
+    keys = list(space)
+    combos = [dict(zip(keys, vals)) for vals in itertools.product(*space.values())]
+    stream.shuffle(combos)
+    return combos[:cap]
+
 
 @dataclass
 class SamplerState:
     """Per-segment sampling bookkeeping."""
 
-    space: dict[str, tuple]
-    unexplored: list[dict[str, Any]]
+    unexplored: Sequence[Any]
     weight: float = 1.0
     best_time: float = float("inf")
     best_params: dict[str, Any] | None = None
@@ -38,30 +52,39 @@ class RewardSampler:
         self,
         spaces: Sequence[dict[str, tuple]],
         rng: RngStream,
-        max_candidates_per_segment: int = 256,
+        max_candidates_per_segment: int = MAX_CANDIDATES_PER_SEGMENT,
         segment_keys: Sequence[str] | None = None,
     ):
         """``segment_keys`` (optional) name each segment *by content*; two
         identical segments (e.g. the same layer repeated 24 times) then draw
         identical candidate sequences, so a shared performance cache turns
         every repeat into hits."""
-        if not spaces:
-            raise TuningError("reward sampler needs at least one segment")
-        self.rng = rng.fork("reward-sampler")
-        self.states: list[SamplerState] = []
+        stream = rng.fork("reward-sampler")
+        candidates = []
         for i, space in enumerate(spaces):
             key = segment_keys[i] if segment_keys is not None else f"seg-{i}"
-            candidates = self._enumerate(space, max_candidates_per_segment, key)
-            self.states.append(SamplerState(space=space, unexplored=candidates))
+            candidates.append(
+                shuffled_settings(
+                    space, stream.fork(f"seg-{key}"), max_candidates_per_segment
+                )
+            )
+        self._start(candidates)
 
-    def _enumerate(
-        self, space: dict[str, tuple], cap: int, key: str
-    ) -> list[dict[str, Any]]:
-        keys = list(space)
-        combos = [dict(zip(keys, vals)) for vals in itertools.product(*space.values())]
-        stream = self.rng.fork(f"seg-{key}")
-        stream.shuffle(combos)
-        return combos[:cap]
+    @classmethod
+    def over(cls, candidates: Sequence[Sequence[Any]]) -> "RewardSampler":
+        """A sampler over candidate lists enumerated by the caller.
+
+        The lists are read, never mutated, so a caller may share them
+        between samplers (the tuner replays one list per repeated layer).
+        """
+        sampler = cls.__new__(cls)
+        sampler._start(candidates)
+        return sampler
+
+    def _start(self, candidates: Sequence[Sequence[Any]]) -> None:
+        if not candidates:
+            raise TuningError("reward sampler needs at least one segment")
+        self.states = [SamplerState(unexplored=c) for c in candidates]
 
     # --------------------------------------------------------------- rounds
 
@@ -101,7 +124,7 @@ class RewardSampler:
             alloc[i] = min(alloc[i], len(self.states[i].unexplored))
         return alloc
 
-    def draw(self, segment: int, count: int) -> list[dict[str, Any]]:
+    def draw(self, segment: int, count: int) -> Sequence[Any]:
         """Take up to ``count`` unexplored settings for a segment."""
         state = self.states[segment]
         batch = state.unexplored[:count]

@@ -74,3 +74,56 @@ class TestRngStream:
     def test_choice_with_probabilities(self):
         vals = RngStream(3).choice([0, 1], size=500, p=[0.9, 0.1])
         assert (vals == 0).mean() > 0.7
+
+
+class TestLazyGenerator:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the NumPy generators built through ``default_rng``."""
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return calls
+
+    def test_fork_that_never_draws_builds_no_generator(self, built):
+        stream = RngStream(5).fork("chain").fork("reward-sampler")
+        assert built == []
+        stream.random()
+        stream.random()
+        assert built == [derive_seed(5, "chain", "reward-sampler")]
+
+    @pytest.mark.parametrize(
+        "via_generator, draw",
+        [
+            (True, lambda r: r.random(4)),
+            (False, lambda r: r.integers(0, 100, size=6)),
+            (False, lambda r: r.integers(7)),
+            (False, lambda r: r.random(5)),
+            (False, lambda r: r.standard_normal(3)),
+            (False, lambda r: r.choice(10, size=4, replace=False)),
+            (False, lambda r: r.choice([0, 1], size=8, p=[0.3, 0.7])),
+            (False, lambda r: r.permutation(12)),
+        ],
+        ids=[
+            "generator", "integers", "integers-high-none", "random",
+            "standard_normal", "choice", "choice-p", "permutation",
+        ],
+    )
+    def test_passthroughs_draw_what_default_rng_draws(self, via_generator, draw):
+        path = ("tuner", "s1-seg")
+        stream = RngStream(9, path)
+        want = np.random.default_rng(derive_seed(9, *path))
+        for _ in range(2):  # the second draw continues the same state
+            got = draw(stream.generator if via_generator else stream)
+            assert np.array_equal(got, draw(want))
+
+    def test_shuffle_draws_what_default_rng_draws(self):
+        got, want = list(range(20)), list(range(20))
+        RngStream(9, ("x",)).shuffle(got)
+        np.random.default_rng(derive_seed(9, "x")).shuffle(want)
+        assert got == want

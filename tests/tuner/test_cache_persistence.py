@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigError
+from repro.plan import PlanCache
 from repro.tuner.cache import EvalCostModel, PerformanceCache
 
 
@@ -61,6 +62,24 @@ class TestPersistence:
         p.write_text('{"version": 9, "entries": []}')
         with pytest.raises(ConfigError):
             PerformanceCache.load(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 1}',  # no entries
+            '{"version": 1, "entries": [["s", [["x", 1]]]]}',  # two fields
+            '{"version": 1, "entries": [["s", 5, 0.5]]}',  # params not a list
+            "[1]",  # not an object
+        ],
+        ids=["no-entries", "two-field-row", "non-list-params", "non-object"],
+    )
+    def test_load_malformed_entries(self, tmp_path, text):
+        p = tmp_path / "malformed.json"
+        p.write_text(text)
+        plans = PlanCache(max_entries=None)
+        with pytest.raises(ConfigError, match="malformed.json"):
+            PerformanceCache.load(p, plans=plans)
+        assert len(plans) == 0
 
     def test_warm_start_reduces_tuning_time(self, tmp_path):
         """End to end: a second STOF preparation warm-started from a saved

@@ -1,11 +1,12 @@
 """Cached segment ids key the tuner exactly as the derived ones did.
 
 ``SegmentSpec`` caches its signature and the signature's ``repr``; the
-tuner passes that string as the segment id, and ``best_for`` walks the
-plan cache instead of rebuilding ``entries``.  The formulas they replace
-are kept here as the oracle: an engine keyed by them must tune a
-bert-base graph into the same cache, in the same order, with the same
-results.
+tuner passes that string as the segment id, derives each candidate list
+and its measurement keys once per engine, and ``best_for`` reads the plan
+cache's salt index instead of rebuilding ``entries``.  The formulas they
+replace are kept here as the oracle, re-derived on every call: an engine
+keyed by them must tune a bert-base graph into the same cache, in the
+same order, with the same results.
 """
 
 import pytest
@@ -13,8 +14,9 @@ import pytest
 import repro
 from repro.core.rng import RngStream
 from repro.gpu.specs import A100
-from repro.tuner.cache import PerformanceCache
+from repro.tuner.cache import PerformanceCache, Setting
 from repro.tuner.engine import TwoStageEngine, segment_signature
+from repro.tuner.sampler import RewardSampler
 
 
 def oracle_signature(template) -> tuple:
@@ -37,14 +39,28 @@ def oracle_best_for(cache: PerformanceCache, segment_id):
 
 
 class OracleIdEngine(TwoStageEngine):
-    """The tuner with segment ids derived per call (the oracle)."""
+    """The tuner with segment ids, candidates and keys derived per call
+    (the oracle)."""
 
-    def _measure(self, template, params):
+    def _measure(self, template, setting):
+        params = dict(setting.params)
         return self.cache.evaluate(
             oracle_signature(template),
             params,
             lambda: template.estimate_time(self.spec, params),
         )
+
+    def _sampler(self, templates, rng):
+        sampler = RewardSampler(
+            [t.param_space() for t in templates],
+            rng,
+            segment_keys=[repr(oracle_signature(t)) for t in templates],
+        )
+        for t, state in zip(templates, sampler.states):
+            state.unexplored = [
+                Setting(oracle_signature(t), p) for p in state.unexplored
+            ]
+        return sampler
 
     def _eval_segment(self, template, n_samples, rng):
         space = template.param_space()
@@ -55,7 +71,7 @@ class OracleIdEngine(TwoStageEngine):
             candidates.append({k: space[k][stream.integers(len(space[k]))] for k in keys})
         best = None
         for params in candidates:
-            t = self._measure(template, params)
+            t = self._measure(template, Setting(oracle_signature(template), params))
             if t is None:
                 continue
             if best is None or t < best[0]:
@@ -130,3 +146,48 @@ def test_best_for_with_guard_siblings():
     cache.evaluate("seg", {"a": 3}, lambda: 1.5)
     assert len(cache.plans) == 4 and len(cache.entries) == 3
     assert cache.best_for("seg") == oracle_best_for(cache, "seg") == (1.5, (("a", 2),))
+
+
+def test_retuning_a_chain_derives_no_setting(monkeypatch):
+    """A chain the engine already tuned, or a repeat of it, replays its
+    candidate lists: no ``params_key``, no candidate list, no generator,
+    and the oracle's results."""
+    import numpy as np
+
+    from repro.fusion.converter import extract_chains
+    from repro.tuner import cache as cache_module
+    from repro.tuner import engine as engine_module
+
+    from .test_engine import ffn_chain_graph
+
+    graph, other = ffn_chain_graph(), ffn_chain_graph()
+    (chain,), (repeat,) = extract_chains(graph), extract_chains(other)
+    runs = [(graph, chain), (graph, chain), (other, repeat)]
+    oracle = OracleIdEngine(A100, rng=RngStream(11))
+    want = [oracle.tune_chain(g, c, tokens=128) for g, c in runs]
+
+    engine = TwoStageEngine(A100, rng=RngStream(11))
+    got = [engine.tune_chain(graph, chain, tokens=128)]
+    calls = []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(cache_module, "params_key")
+    count(Setting, "__init__")
+    count(engine_module, "shuffled_settings")
+    count(np.random, "default_rng")
+    got += [engine.tune_chain(g, c, tokens=128) for g, c in runs[1:]]
+    assert calls == []
+    for result, expected in zip(got, want):
+        assert result.scheme == expected.scheme
+        assert result.history == expected.history
+        assert [(s.best_time_s, s.best_params) for s in result.segments] == [
+            (s.best_time_s, s.best_params) for s in expected.segments
+        ]
