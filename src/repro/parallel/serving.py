@@ -408,16 +408,15 @@ class AutoscalingServingEngine(ShardedServingEngine):
     ) -> list[tuple[float, int]]:
         """Reactive scaling: at each window boundary, resize against the
         window just observed.  A scale-up lands after the latency; a
-        decision inside a pending scale-up simply supersedes it (the
-        timeline is re-sorted by effective time)."""
+        decision for another width drops a scale-up still pending and is
+        judged against the width in force."""
         fleet = self.fleet
         first = order[0].arrival_s
         last = order[-1].arrival_s
         window = fleet.scale_window_s
         if window is None:
             window = max((last - first) / 8.0, 1e-9)
-        current = fleet.min_replicas
-        timeline: list[tuple[float, int]] = [(first, current)]
+        timeline: list[tuple[float, int]] = [(first, fleet.min_replicas)]
         supply = capacity * fleet.target_utilization
         k = 0
         while first + k * window <= last:
@@ -428,12 +427,14 @@ class AutoscalingServingEngine(ShardedServingEngine):
             )
             desired = math.ceil(load / window / supply) if supply > 0 else 1
             desired = min(max(desired, fleet.min_replicas), fleet.max_replicas)
-            if desired != current:
-                lag = fleet.scale_up_latency_s if desired > current else 0.0
-                timeline.append((w1 + lag, desired))
-                current = desired
+            if desired != timeline[-1][1]:
+                while timeline[-1][0] > w1:
+                    timeline.pop()
+                current = timeline[-1][1]
+                if desired != current:
+                    lag = fleet.scale_up_latency_s if desired > current else 0.0
+                    timeline.append((w1 + lag, desired))
             k += 1
-        timeline.sort(key=lambda e: e[0])
         return timeline
 
 

@@ -47,6 +47,7 @@ runs produce bit-identical reports.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 
 from repro.core.errors import ConfigError
@@ -834,8 +835,9 @@ class ServingEngine:
             if req.prefix_id:
                 cache.register_prefix(req.req_id, req.prefix_id, req.prefix_len)
 
-        pending = list(active)
-        waiting: list[RequestTracker] = []
+        arrived = 0       # active[:arrived] have entered the engine
+        waiting: list[RequestTracker] = []     # sorted by queue key
+        keys: dict[RequestTracker, tuple] = {}     # computed once, at arrival
         running: list[RequestTracker] = []
         finished: list[RequestTracker] = []
 
@@ -895,23 +897,22 @@ class ServingEngine:
             # chunked prefill restarts from whatever re-admission finds
             # cached, not from its old chunk watermark.
             tr.prefilled = None
-            waiting.append(tr)
-            waiting.sort(key=lambda t: (t.request.arrival_s, t.req_id))
+            insort(waiting, tr, key=keys.__getitem__)
 
         if metrics.enabled and rejected:
             metrics.counter("serving.rejected").inc(len(rejected))
 
         while len(finished) < len(active):
-            while pending and pending[0].arrival_s <= clock:
-                tr = trackers[pending.pop(0).req_id]
-                waiting.append(tr)
-            waiting.sort(key=lambda t: (t.request.arrival_s, t.req_id))
+            while arrived < len(active) and active[arrived].arrival_s <= clock:
+                tr = trackers[active[arrived].req_id]
+                arrived += 1
+                keys[tr] = self.scheduler.queue_key(tr)
+                insort(waiting, tr, key=keys.__getitem__)
 
-            self.scheduler.begin_step(clock)
             # Preempt-to-meet-deadline (SLO policies): evict lower-priority
             # residents *before* the step forms, so the at-risk waiter is
             # admitted this very step rather than after their drain.
-            for victim in self.scheduler.deadline_victims(waiting, running, cache):
+            for victim in self.scheduler.deadline_victims(waiting, running, cache, clock):
                 if victim in running:
                     preempt(victim)
 
@@ -922,9 +923,9 @@ class ServingEngine:
                 running.append(tr)
 
             if not was_running and not admitted:
-                if not pending:   # pragma: no cover - admission always progresses
+                if arrived == len(active):   # pragma: no cover - admission always progresses
                     raise ConfigError("serving deadlock: nothing runnable")
-                clock = pending[0].arrival_s
+                clock = active[arrived].arrival_s
                 continue
 
             self._step_comm_s = 0.0
@@ -1104,8 +1105,6 @@ class ServingEngine:
             for tr in self.scheduler.releasable(running):
                 cache.release(tr.req_id)
                 running.remove(tr)
-                if tr not in finished:   # pragma: no cover - defensive
-                    finished.append(tr)
 
         first_arrival = min(r.arrival_s for r in trace)
         last_finish = (

@@ -1,28 +1,29 @@
 """Batch-assembly policies for the serving engine.
 
-Two classic policies, both FCFS at admission:
-
 * :class:`StaticBatchScheduler` — request-level (static) batching: a batch
   forms only when the device drains, reserves worst-case
   (``prompt + max_new``) KV for every member up front, and runs locked
   until *every* member exhausts its budget; finished members keep
   occupying their KV slot until the drain, and arrivals wait for it.
   This is the pre-continuous-batching serving baseline.
-
-Both policies attribute decode work identically: a step computes exactly
-the *live* rows (the shared :meth:`Scheduler.decode_members`).  Static
-batching used to replay finished members' final rows as padding, which —
-under the roofline's small-grid utilization penalty — made its padded
-steps price *cheaper per live row* than continuous batching's exact
-steps, silently breaking the continuous ≥ static throughput guarantee.
-Static batching's real costs (drain-locked admission, worst-case
-reservation) are modelled in ``admit``/``releasable``, not by phantom
-compute.
 * :class:`ContinuousBatchScheduler` — iteration-level scheduling (Orca /
   vLLM style): requests join the running batch the step they arrive and
   leave the step they finish; KV pages are reserved for the *current*
   context only, with a ``max_batch_tokens`` admission knob bounding the
   packed step size.
+* :class:`~repro.serving.slo.SLOScheduler` — continuous batching in
+  priority-then-deadline order, with preempt-to-meet-deadline.
+
+:meth:`Scheduler.queue_key` alone decides the wait order: FCFS for the
+first two, ``(-priority, deadline, arrival, id)`` for the SLO policy.  The
+engine keys each request once per run and keeps its queue sorted, so
+``admit`` takes from the head and nothing re-sorts.
+
+Every policy prices exactly the *live* decode rows (the shared
+:meth:`Scheduler.decode_members`): padding a static batch with finished
+rows would make its steps cheaper per live row under the roofline's
+small-grid penalty.  Static batching's real costs (drain-locked
+admission, worst-case reservation) live in ``admit``/``releasable``.
 
 Schedulers only decide membership; pricing, preemption and token
 accounting live in :mod:`repro.serving.engine`.
@@ -34,7 +35,7 @@ from abc import ABC, abstractmethod
 
 from repro.core.errors import ConfigError
 from repro.serving.kvcache import PagedKVCache
-from repro.serving.request import RequestState, RequestTracker
+from repro.serving.request import RequestTracker
 
 
 class Scheduler(ABC):
@@ -52,6 +53,11 @@ class Scheduler(ABC):
         self.max_batch_size = max_batch_size
         self.max_batch_tokens = max_batch_tokens
 
+    def queue_key(self, tracker: RequestTracker) -> tuple:
+        """Where ``tracker`` waits: ``waiting`` is kept sorted by this key,
+        computed once per request per run.  FCFS: arrival, ties by id."""
+        return (tracker.request.arrival_s, tracker.req_id)
+
     @abstractmethod
     def admit(
         self,
@@ -59,26 +65,20 @@ class Scheduler(ABC):
         running: list[RequestTracker],
         cache: PagedKVCache,
     ) -> list[RequestTracker]:
-        """Pop admitted trackers off ``waiting`` (reserving their KV) and
-        return them; the engine prefills them this step."""
-
-    def begin_step(self, now_s: float) -> None:
-        """Hook: observe the simulated clock before this step's admission.
-
-        The base policies are clock-free; SLO-aware scheduling
-        (:class:`repro.serving.slo.SLOScheduler`) uses it to compute
-        deadline slack.
-        """
+        """Pop admitted trackers off the head of ``waiting`` (sorted by
+        :meth:`queue_key`), reserving their KV, and return them; the
+        engine prefills them this step."""
 
     def deadline_victims(
         self,
         waiting: list[RequestTracker],
         running: list[RequestTracker],
         cache: PagedKVCache,
+        now_s: float,
     ) -> list[RequestTracker]:
-        """Running trackers to preempt *now* so a deadline-critical waiter
-        can be admitted this step.  Default: never preempt for deadlines
-        (memory-pressure preemption in the engine is separate)."""
+        """Running trackers to preempt at time ``now_s`` so a deadline-critical
+        waiter can be admitted this step.  Default: never preempt for
+        deadlines (memory-pressure preemption in the engine is separate)."""
         return []
 
     def decode_members(

@@ -10,9 +10,10 @@ This module adds that regime on top of continuous batching:
   consumed by queueing before the scheduler intervenes.
 
 * :class:`SLOScheduler` — a :class:`ContinuousBatchScheduler` that (a)
-  admits in *priority-then-deadline* order instead of FCFS: waiting
-  requests sort by descending tenant priority, then ascending slack
-  (time left until the TTFT deadline); and (b) implements
+  admits in *priority-then-deadline* order instead of FCFS: its
+  :meth:`~SLOScheduler.queue_key` orders waiters by descending tenant
+  priority, then ascending TTFT deadline (arrival plus target): least
+  slack first, without a clock; and (b) implements
   *preempt-to-meet-deadline* via the :meth:`Scheduler.deadline_victims`
   hook — when the most urgent waiter has burnt through its headroom and
   lower-priority work holds the pages it needs, those victims are
@@ -93,7 +94,7 @@ class SLOPolicy:
 
 
 class SLOScheduler(ContinuousBatchScheduler):
-    """Priority + deadline-slack admission with preempt-to-meet-deadline."""
+    """Priority + deadline admission with preempt-to-meet-deadline."""
 
     name = "slo"
 
@@ -105,42 +106,35 @@ class SLOScheduler(ContinuousBatchScheduler):
     ):
         super().__init__(max_batch_size, max_batch_tokens)
         self.slo_policy = policy or SLOPolicy()
-        self._now_s = 0.0
 
-    def begin_step(self, now_s: float) -> None:
-        self._now_s = now_s
-
-    def _slack_s(self, tr: RequestTracker) -> float:
-        """Seconds left until ``tr`` misses its TTFT target."""
-        target = self.slo_policy.target_for(tr.request.tenant)
-        return tr.request.arrival_s + target.ttft_target_s - self._now_s
-
-    def _urgency(self, tr: RequestTracker) -> tuple:
+    def queue_key(self, tracker: RequestTracker) -> tuple:
+        """Highest priority first, then earliest TTFT deadline: the
+        head-of-line blocking FCFS imposes is exactly what SLO admission
+        removes.  Subtracting one clock from every deadline keeps their
+        order, so least slack first needs no clock (where rounding would
+        tie two slacks, the earlier deadline goes first)."""
+        req = tracker.request
+        target = self.slo_policy.target_for(req.tenant)
         return (
-            -tr.request.priority,
-            self._slack_s(tr),
-            tr.request.arrival_s,
-            tr.req_id,
+            -req.priority,
+            req.arrival_s + target.ttft_target_s,
+            req.arrival_s,
+            req.req_id,
         )
-
-    def admit(self, waiting, running, cache):
-        # Highest priority first, then least slack: the head-of-line
-        # blocking FCFS imposes is exactly what SLO admission removes.
-        waiting.sort(key=self._urgency)
-        return super().admit(waiting, running, cache)
 
     def deadline_victims(
         self,
         waiting: list[RequestTracker],
         running: list[RequestTracker],
         cache: PagedKVCache,
+        now_s: float,
     ) -> list[RequestTracker]:
         if not waiting or not running:
             return []
-        head = min(waiting, key=self._urgency)
+        head = waiting[0]
         target = self.slo_policy.target_for(head.request.tenant)
         burn = self.slo_policy.deadline_headroom * target.ttft_target_s
-        if self._now_s - head.request.arrival_s < burn:
+        if now_s - head.request.arrival_s < burn:
             return []      # still inside the queueing budget
         # A page of decode headroom on top of the waiter's context, the
         # same margin ContinuousBatchScheduler.admit keeps.

@@ -60,13 +60,15 @@ class TestSLOPolicy:
 
 class TestSLOScheduler:
     def test_admission_orders_by_priority_then_slack(self):
+        """The queue key puts priority first, then the earliest deadline
+        (least slack); admission takes waiters in that order."""
         sched = SLOScheduler(policy=SLOPolicy())
-        sched.begin_step(0.0)
         cache = cache_with(pages=64)
-        lo_late = tracker(0, arrival=0.0, priority=0)
+        lo_early = tracker(0, arrival=0.0, priority=0)
         hi = tracker(1, arrival=0.01, priority=2)
-        lo_early = tracker(2, arrival=0.005, priority=0)
-        admitted = sched.admit([lo_late, hi, lo_early], [], cache)
+        lo_late = tracker(2, arrival=0.005, priority=0)
+        waiting = sorted([lo_early, hi, lo_late], key=sched.queue_key)
+        admitted = sched.admit(waiting, [], cache)
         assert [tr.req_id for tr in admitted] == [1, 0, 2]
 
     def test_no_eviction_inside_the_headroom_budget(self):
@@ -76,8 +78,8 @@ class TestSLOScheduler:
         resident = tracker(0, prompt=12, new=4, priority=0)
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
-        sched.begin_step(0.5)      # 50% of the budget burnt < 80%
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        now_s = 0.5      # 50% of the budget burnt < 80%
+        assert sched.deadline_victims([waiter], [resident], cache, now_s) == []
 
     def test_evicts_lower_priority_after_headroom(self):
         policy = SLOPolicy(default_ttft_s=1.0, deadline_headroom=0.8)
@@ -86,8 +88,8 @@ class TestSLOScheduler:
         resident = tracker(0, prompt=12, new=4, priority=0)
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
-        sched.begin_step(0.9)      # budget burnt
-        assert sched.deadline_victims([waiter], [resident], cache) == [resident]
+        now_s = 0.9      # budget burnt
+        assert sched.deadline_victims([waiter], [resident], cache, now_s) == [resident]
 
     def test_never_evicts_equal_or_higher_priority(self):
         policy = SLOPolicy(default_ttft_s=1.0, deadline_headroom=0.5)
@@ -96,8 +98,8 @@ class TestSLOScheduler:
         resident = tracker(0, prompt=12, new=4, priority=2)
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, prompt=8, new=4, arrival=0.0, priority=2)
-        sched.begin_step(0.9)
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        now_s = 0.9
+        assert sched.deadline_victims([waiter], [resident], cache, now_s) == []
 
     def test_hopeless_eviction_does_not_thrash(self):
         """If evicting every lower-priority resident still cannot admit
@@ -108,8 +110,8 @@ class TestSLOScheduler:
         resident = tracker(0, prompt=8, new=4, priority=0)
         assert cache.reserve(0, resident.context_len)
         huge = tracker(1, prompt=64, new=4, arrival=0.0, priority=2)
-        sched.begin_step(0.9)
-        assert sched.deadline_victims([huge], [resident], cache) == []
+        now_s = 0.9
+        assert sched.deadline_victims([huge], [resident], cache, now_s) == []
 
     def test_no_action_when_already_admissible(self):
         sched = SLOScheduler(policy=SLOPolicy(default_ttft_s=0.01))
@@ -117,8 +119,8 @@ class TestSLOScheduler:
         resident = tracker(0, priority=0)
         assert cache.reserve(0, resident.context_len)
         waiter = tracker(1, arrival=0.0, priority=2)
-        sched.begin_step(5.0)      # way past the deadline, but room exists
-        assert sched.deadline_victims([waiter], [resident], cache) == []
+        now_s = 5.0      # way past the deadline, but room exists
+        assert sched.deadline_victims([waiter], [resident], cache, now_s) == []
 
 
 def overload_workload(n):
