@@ -4,14 +4,20 @@ Times the serving commands of ``python -m repro`` (CLI defaults apart from
 the scenario and the request count) and appends one record per row to
 ``BENCH_sim.json`` at the repo root:
 
-    python benchmarks/bench_sim_wallclock.py            # 10^3 and 10^4 rows
-    python benchmarks/bench_sim_wallclock.py --quick    # 10^3 rows only
+    python benchmarks/bench_sim_wallclock.py            # 10^3 and 10^4 rows, 3 rounds
+    python benchmarks/bench_sim_wallclock.py --quick    # 10^3 rows only, 1 round
     python benchmarks/bench_sim_wallclock.py --quick --out /tmp/sim.json
 
 Rows are ``serve-sim``, ``shard-sim``, ``fleet-sim --scenario steady`` and
-``fleet-sim --scenario diurnal`` at each request count.  Each row runs in
-a fresh interpreter, so its peak RSS is its own and no memo carries over
-from another row.  A row records:
+``fleet-sim --scenario diurnal`` at each request count.  Each run of a row
+is a fresh interpreter, so its peak RSS is its own and no memo carries
+over from another run.  Full mode runs the whole row set three times in
+rounds, so one row's runs are minutes apart and interleave with the other
+rows: a host that changes state during the benchmark shows as spread
+within a row rather than as a difference between rows.  A record keeps
+every run's ``wall_s``, ``run_s`` and ``peak_rss_mb`` in the lists
+``wall_s_runs``, ``run_s_runs`` and ``peak_rss_mb_runs``, and reports
+the medians over its runs under the names below:
 
 * ``wall_s`` — the whole child process, interpreter start and imports
   included, as measured by this script;
@@ -38,6 +44,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -55,6 +62,8 @@ COMMANDS = (
 )
 QUICK_REQUESTS = (1_000,)
 FULL_REQUESTS = (1_000, 10_000)
+#: Rounds over the whole row set in full mode (quick mode runs one).
+FULL_ROUNDS = 3
 
 #: BLAS/OpenMP pools pinned to one thread, as in ``perfbench/``: on a host
 #: with few cores, pool scheduling noise would swamp the small kernels.
@@ -100,7 +109,7 @@ def run_row(argv: list[str]) -> dict:
 
 
 def measure(command: str, extra: tuple[str, ...], n_requests: int) -> dict:
-    """Parent side: one row, timed around a fresh child interpreter."""
+    """Parent side: one run of a row, timed around a fresh child interpreter."""
     argv = [command, *extra, "--num-requests", str(n_requests)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -117,17 +126,33 @@ def measure(command: str, extra: tuple[str, ...], n_requests: int) -> dict:
     child = json.loads(out.stdout.strip().splitlines()[-1])
     if child["accounted"] != n_requests * child["reports"]:
         raise SystemExit(f"{argv}: reports account for {child['accounted']} requests")
+    return {**child, "wall_s": wall_s}
+
+
+def record(command: str, extra: tuple[str, ...], n_requests: int, runs: list[dict]) -> dict:
+    """One row's record: medians over its runs, and each run's timings."""
+    steps = runs[0]["steps"]
+    if any(run["steps"] != steps for run in runs):
+        raise SystemExit(f"{command} {extra}: runs simulated different step counts")
+
+    def median(name: str) -> float:
+        return statistics.median(run[name] for run in runs)
+
+    run_s = median("run_s")
     return {
         "command": command,
         "scenario": extra[1] if extra else None,
         "requests": n_requests,
-        "wall_s": round(wall_s, 3),
-        "run_s": round(child["run_s"], 3),
-        "import_s": round(child["import_s"], 3),
-        "steps": child["steps"],
-        "ms_per_request": round(child["run_s"] / n_requests * 1e3, 4),
-        "us_per_step": round(child["run_s"] / child["steps"] * 1e6, 2),
-        "peak_rss_mb": round(child["peak_rss_mb"], 1),
+        "wall_s": round(median("wall_s"), 3),
+        "run_s": round(run_s, 3),
+        "import_s": round(median("import_s"), 3),
+        "steps": steps,
+        "ms_per_request": round(run_s / n_requests * 1e3, 4),
+        "us_per_step": round(run_s / steps * 1e6, 2),
+        "peak_rss_mb": round(median("peak_rss_mb"), 1),
+        "wall_s_runs": [round(run["wall_s"], 3) for run in runs],
+        "run_s_runs": [round(run["run_s"], 3) for run in runs],
+        "peak_rss_mb_runs": [round(run["peak_rss_mb"], 1) for run in runs],
     }
 
 
@@ -144,7 +169,7 @@ def _git(*args: str) -> str:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="only the 10^3-request rows (CI smoke)")
+                        help="only the 10^3-request rows, one round (CI smoke)")
     parser.add_argument("--out", type=Path, default=JSON_PATH,
                         help="JSON file the records are appended to")
     parser.add_argument("--row", nargs=argparse.REMAINDER,
@@ -164,15 +189,29 @@ def main(argv: list[str] | None = None) -> None:
     payload = {"records": []}
     if args.out.exists():
         payload = json.loads(args.out.read_text())
-    for n_requests in QUICK_REQUESTS if args.quick else FULL_REQUESTS:
-        for command, extra in COMMANDS:
-            row = measure(command, extra, n_requests)
-            payload["records"].append({**stamp, **row})
-            print(
-                f"{command:>9} {row['scenario'] or '':>7} {n_requests:>6} req: "
-                f"{row['wall_s']:7.2f} s wall, {row['ms_per_request']:7.3f} ms/req, "
-                f"{row['us_per_step']:8.1f} us/step, {row['peak_rss_mb']:6.1f} MB"
-            )
+    rows = [
+        (command, extra, n_requests)
+        for n_requests in (QUICK_REQUESTS if args.quick else FULL_REQUESTS)
+        for command, extra in COMMANDS
+    ]
+    runs: dict[tuple, list[dict]] = {row: [] for row in rows}
+    rounds = 1 if args.quick else FULL_ROUNDS
+    for k in range(rounds):
+        for row in rows:
+            command, extra, n_requests = row
+            run = measure(command, extra, n_requests)
+            runs[row].append(run)
+            print(f"round {k + 1}/{rounds}: {command} {' '.join(extra)} "
+                  f"{n_requests} req: {run['wall_s']:.2f} s wall")
+    for row in rows:
+        rec = record(*row, runs[row])
+        payload["records"].append({**stamp, **rec})
+        print(
+            f"{rec['command']:>9} {rec['scenario'] or '':>7} {rec['requests']:>6} req: "
+            f"{rec['wall_s']:7.2f} s wall (runs {rec['wall_s_runs']}), "
+            f"{rec['ms_per_request']:7.3f} ms/req, "
+            f"{rec['us_per_step']:8.1f} us/step, {rec['peak_rss_mb']:6.1f} MB"
+        )
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {len(payload['records'])} records to {args.out}")
 

@@ -45,7 +45,7 @@ from repro.mha import (
 )
 from repro.models import build_model, get_model_config
 from repro.obs import MetricsRegistry, Span, Tracer, use_metrics, use_tracer
-from repro.plan import CompiledPlan, PlanCache, PlanKey, Planner
+from repro.plan import CompiledPlan, PlanCache, PlanKey
 from repro.runtime import (
     BoltEngine,
     ByteTransformerEngine,
@@ -96,7 +96,6 @@ __all__ = [
     "CompiledPlan",
     "PlanCache",
     "PlanKey",
-    "Planner",
     "BoltEngine",
     "ByteTransformerEngine",
     "MCFuserEngine",

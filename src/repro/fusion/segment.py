@@ -74,13 +74,6 @@ class SegmentSpec:
         """``repr(signature)``: the segment id of tuner and plan keys."""
         return repr(self.signature)
 
-    def external_bytes(self) -> int:
-        """Total bytes of external inputs (FP16, bool masks as 1 B)."""
-        from repro.core.fp16 import FP16_BYTES
-        from repro.ops.base import numel
-
-        return sum(numel(s) * FP16_BYTES for s in self.ext_shapes)
-
     # ---------------------------------------------------------- construction
 
     @classmethod

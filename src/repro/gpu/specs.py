@@ -81,11 +81,6 @@ class GPUSpec:
         """Aggregate shared-memory bandwidth across all SMs (bytes / s)."""
         return self.smem_bytes_per_clk_per_sm * self.clock_hz * self.sm_count
 
-    @property
-    def max_concurrent_blocks(self) -> int:
-        """Upper bound of resident blocks device-wide (ignoring resources)."""
-        return self.sm_count * self.max_blocks_per_sm
-
     def with_overrides(self, **kwargs) -> "GPUSpec":
         """Return a copy with selected fields replaced (for what-if studies)."""
         return replace(self, **kwargs)

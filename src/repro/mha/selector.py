@@ -257,7 +257,6 @@ def compile_attention_plan(
     tau: float | None = None,
     cache: PlanCache | None = None,
     kind: str = "mha",
-    family: "tuple | None" = None,
 ) -> CompiledPlan:
     """Select, parameterize, and price attention — once per plan key.
 
@@ -266,13 +265,6 @@ def compile_attention_plan(
     replays the exact prior decision (including its recorded analysis
     overhead); a miss runs the analytical selector and prices the chosen
     kernel's launches, identically to the historical ``UnifiedMHA.plan``.
-
-    ``family`` is an optional ``(dims, shape, guards)`` triple (see
-    :data:`repro.plan.planner.Family`) making the lookup guarded: callers
-    that know the selector's decision is shape-stable over a region —
-    e.g. ``nnz_blocks <= K`` keeps the block-wise choice — share one
-    cached plan across every shape the guards admit instead of one per
-    concrete key.  ``None`` (and ``dims=()``) is the exact concrete path.
     """
     eff_tau = TAU if tau is None else tau
     key = PlanKey.for_problem(
@@ -307,13 +299,7 @@ def compile_attention_plan(
 
     if cache is None:
         return make()
-    if family is None:
-        plan = cache.get_or_build(key, make)
-    else:
-        dims, shape, guards = family
-        plan = cache.get_or_build_family(
-            key, tuple(dims), shape, make, guards=guards
-        )
+    plan = cache.get_or_build(key, make)
     if not isinstance(plan.choice, KernelChoice) and plan.choice is not None:
         plan.choice = KernelChoice(plan.choice)   # rehydrate after warm start
     if plan.kernel is None and plan.choice is not None:

@@ -130,11 +130,8 @@ def compile_sharded(
                 )
             engine = ENGINES[key](**engine_kwargs)
         prepared = engine.prepare(inst, spec, masks, patterns)
-        # The layout fingerprint rides in every PlanKey this rank emits —
-        # and, because symbolic family bases preserve the shard field
-        # (repro.plan.symbolic.family_base zeroes only the free dims),
-        # guarded plan families are per-layout too: a tp4 rank can never
-        # satisfy a tp2 probe's guards out of a shared cache.
+        # The layout fingerprint rides in every PlanKey this rank emits,
+        # so a tp4 rank never replays a tp2 plan out of a shared cache.
         prepared.shard = shard.fingerprint
         if plan_cache is not None:
             prepared.plan_cache = plan_cache

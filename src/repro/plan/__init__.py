@@ -14,18 +14,19 @@ first-class, *content-addressed* artifact:
   ``id()``/``repr`` leakage, no ``PYTHONHASHSEED`` dependence).
 * :mod:`repro.plan.symbolic` — guarded shape families
   (TorchDynamo-style): :class:`SymbolicPlanKey` leaves named dims free
-  under a :class:`GuardSet` of primitive predicates, so one cached plan
-  covers every shape its guards admit; a concrete key is the degenerate
-  family with no free dims.  Guard failures recompile and *split* the
-  family — see ``docs/symbolic_shapes.md``.
+  under a :class:`GuardSet`, so one cached artifact covers every shape
+  its guards admit.  Two sites key families: the serving engine
+  (:class:`BucketGuard` over decode and prefill-chunk positions) and codegen
+  (:class:`BoundGuard` from a :class:`GuardRecorder`) — see
+  ``docs/symbolic_shapes.md``.
 * :class:`CompiledPlan` — the reusable decision: kernel choice,
   parameters, priced launches, estimated time, workspace/SMEM footprint.
 * :class:`PlanCache` — a bounded LRU mapping keys to plans (or any other
   derived planning artifact: tuner measurements, serving row statistics)
   with per-kind hit/miss/eviction statistics and JSON persistence for
   warm starts.
-* :class:`Planner` — a facade tying a device spec + selector settings +
-  cache together for callers that want one object to plan through.
+* :func:`compile_launches` / :func:`compile_kernel_plan` — derive a plan
+  once per key through a cache.
 
 Downstream consumers: :mod:`repro.mha.selector` (compiles attention
 plans), :mod:`repro.runtime.executor` (composes per-site plans for a
@@ -43,41 +44,32 @@ from repro.plan.key import (
     params_key,
     spec_fingerprint,
 )
-from repro.plan.planner import Planner, compile_kernel_plan, compile_launches
+from repro.plan.planner import compile_kernel_plan, compile_launches
 from repro.plan.symbolic import (
     BoundGuard,
     BucketGuard,
-    DivisibleGuard,
-    EqGuard,
     GuardRecorder,
     GuardSet,
     SymbolicPlanKey,
-    family_base,
     guard_from_dict,
     guard_to_dict,
-    trivially_guarded,
 )
 
 __all__ = [
     "BoundGuard",
     "BucketGuard",
     "CompiledPlan",
-    "DivisibleGuard",
-    "EqGuard",
     "GuardRecorder",
     "GuardSet",
     "PlanCache",
     "PlanKey",
-    "Planner",
     "SymbolicPlanKey",
     "compile_kernel_plan",
     "compile_launches",
-    "family_base",
     "guard_from_dict",
     "guard_to_dict",
     "adapter_fingerprint",
     "mask_fingerprint",
     "params_key",
     "spec_fingerprint",
-    "trivially_guarded",
 ]

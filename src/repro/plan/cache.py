@@ -12,9 +12,9 @@ Keys may also be guarded :class:`~repro.plan.symbolic.SymbolicPlanKey`
 families.  They live in the same LRU map (one family = one entry), and
 the cache additionally maintains a *family index* keyed on the family
 signature ``(base, dims)`` so a lookup with a fresh shape can scan the
-candidate families whose guards admit it (``find_family``).  A concrete
-key is the degenerate family with no free dims — ``get_or_build_family``
-with ``dims=()`` is byte-for-byte the old concrete path.
+candidate families whose guards admit it (``find_family``).  A caller
+whose probe no family admits keys a new sibling for the probe's region
+and stores it with ``put``; the cache counts that insertion as a split.
 
 A kind registered with ``index_salts`` is also kept per salt, in the
 cache's recency order, so a site that reads all of one salt's entries
@@ -29,11 +29,12 @@ import os
 from collections import OrderedDict
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.core.errors import ConfigError
 from repro.obs.metrics import current_metrics
 from repro.obs.tracer import current_tracer
 from repro.plan.compiled import CompiledPlan
 from repro.plan.key import PlanKey, _tuplify
-from repro.plan.symbolic import GuardSet, SymbolicPlanKey, family_base
+from repro.plan.symbolic import SymbolicPlanKey
 
 _FORMAT_VERSION = 2
 _LOADABLE_VERSIONS = (1, 2)
@@ -101,7 +102,7 @@ class PlanCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         elif isinstance(key, SymbolicPlanKey):
-            self._register_family(key, count_split=True)
+            self._register_family(key)
         self._entries[key] = value
         if self._salts:
             self._index(key, value)
@@ -157,14 +158,14 @@ class PlanCache:
         entries = self._salts[kind].get(salt)
         return list(entries.items()) if entries else []
 
-    def _register_family(self, key: SymbolicPlanKey, count_split: bool) -> None:
+    def _register_family(self, key: SymbolicPlanKey) -> None:
         members = self._families.setdefault(key.signature, [])
         if key in members:
             return
-        if members and count_split:
+        if members:
             # A second guard variant joining an existing family is a
-            # *split* event: the prior siblings rejected this shape, so
-            # planning recompiled under narrowed guards.
+            # *split* event: the prior siblings rejected a shape, so
+            # planning keyed a new sibling for its region.
             self.splits += 1
             kind = key.kind
             self._kind_splits[kind] = self._kind_splits.get(kind, 0) + 1
@@ -207,8 +208,9 @@ class PlanCache:
         """The first cached family for ``(base, dims)`` admitting ``shape``.
 
         Scans siblings in insertion order, counting one guard check per
-        candidate examined.  ``None`` means no family admits the shape —
-        the caller recompiles and the resulting ``put`` splits the family.
+        candidate examined.  ``None`` means no family admits the shape:
+        the caller keys a new sibling for the shape's region, and its
+        ``put`` counts as a split.
         """
         members = self._families.get((base, dims))
         if not members:
@@ -226,56 +228,6 @@ class PlanCache:
             self._kind_guard_checks.get(kind, 0) + checks
         )
         return hit
-
-    def get_or_build_family(
-        self,
-        key: PlanKey,
-        dims: tuple[str, ...],
-        shape: Mapping[str, int],
-        build: Callable[[], Any],
-        guards: GuardSet | None = None,
-    ) -> Any:
-        """Guarded family lookup; the unified entry for all planning sites.
-
-        ``key`` is the *concrete* probe key for this shape; ``dims`` names
-        the fields left symbolic; ``shape`` binds every symbolic variable
-        (key fields and derived quantities alike).  With ``dims=()`` this
-        is exactly :meth:`get_or_build` — the concrete key is the special
-        case of a family with nothing free.
-
-        On a family miss the value is built and stored under a new
-        sibling whose guards are ``guards`` (or exact-equality pins when
-        not supplied), narrowed by the split of the most recent sibling's
-        violated guards — so the new family admits this shape and never
-        silently widens back over a region an existing sibling owns.
-        """
-        if not dims:
-            return self.get_or_build(key, build)
-        return self.get_or_build(self.family_key(key, dims, shape, guards), build)
-
-    def family_key(
-        self,
-        key: PlanKey,
-        dims: tuple[str, ...],
-        shape: Mapping[str, int],
-        guards: GuardSet | None = None,
-    ) -> SymbolicPlanKey:
-        """Resolve the family key owning ``shape`` (without a value lookup).
-
-        Returns the first cached sibling whose guards admit the shape, or
-        a *new* key guarded by ``guards`` (exact-equality pins when not
-        supplied) narrowed against the most recent sibling's split — the
-        key a subsequent ``put`` will register as a family split.
-        """
-        base = family_base(key, dims)
-        fam = self.find_family(base, dims, shape)
-        if fam is None:
-            gs = guards if guards is not None else GuardSet.equalities(shape, dims)
-            siblings = self._families.get((base, dims))
-            if siblings:
-                gs = siblings[-1].guards.split_for(shape).narrowed(gs)
-            fam = SymbolicPlanKey(base, dims, gs)
-        return fam
 
     def peek(self, key: PlanKey, default: Any = None) -> Any:
         """Look up without touching recency or statistics."""
@@ -380,31 +332,40 @@ class PlanCache:
     def load(self, path: str | os.PathLike) -> int:
         """Warm-start from a ``save`` file; returns the entry count loaded.
 
-        Both schema versions load: v1 files carry concrete keys only
-        (each is the trivially-guarded one-shape family, so no upgrade
-        transform is needed beyond loading it); v2 adds the ``families``
-        list of guarded symbolic keys.  Warm-starting restores cache
-        *structure* — split counters describe this process's planning
-        events and are left untouched.
+        Both schema versions load: v1 files carry concrete keys only; v2
+        adds the ``families`` list of guarded symbolic keys.  An
+        unreadable file, an unknown version or a malformed entry raises
+        :class:`ConfigError` naming the file, before anything is cached.
+        Warm-starting restores cache *structure* — split counters
+        describe this process's planning events and are left untouched.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("version") not in _LOADABLE_VERSIONS:
-            raise ValueError(
-                f"unsupported plan-cache format version: {payload.get('version')!r}"
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load plan cache from {path}: {exc}") from exc
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version not in _LOADABLE_VERSIONS:
+            raise ConfigError(
+                f"unsupported plan-cache format version {version!r} in {path}"
             )
-        count = 0
-        for item in payload.get("entries", ()):
-            key = PlanKey.from_dict(item["key"])
-            self.put(key, _decode_value(item["value"]))
-            count += 1
+        try:
+            rows = [
+                (PlanKey.from_dict(item["key"]), _decode_value(item["value"]))
+                for item in payload.get("entries", ())
+            ] + [
+                (SymbolicPlanKey.from_dict(item["key"]), _decode_value(item["value"]))
+                for item in payload.get("families", ())
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(
+                f"malformed plan-cache entries in {path}: {exc!r}"
+            ) from exc
         splits, kind_splits = self.splits, dict(self._kind_splits)
-        for item in payload.get("families", ()):
-            fam = SymbolicPlanKey.from_dict(item["key"])
-            self.put(fam, _decode_value(item["value"]))
-            count += 1
+        for key, value in rows:
+            self.put(key, value)
         self.splits, self._kind_splits = splits, kind_splits
-        return count
+        return len(rows)
 
 
 class _Miss:

@@ -55,10 +55,6 @@ class CompiledPlan:
         """Peak static+dynamic SMEM any launch of the plan requests."""
         return max((cfg.smem_per_block for _, cfg in self.launches), default=0)
 
-    @property
-    def choice_name(self) -> str:
-        return getattr(self.choice, "value", self.choice) or ""
-
     # ----------------------------------------------------------- persistence
 
     def to_payload(self) -> dict[str, Any]:

@@ -1,44 +1,23 @@
-"""Plan compilation helpers and the :class:`Planner` facade.
+"""Plan compilation helpers.
 
 ``compile_launches`` and ``compile_kernel_plan`` are the generic
 compile-through-cache primitives every site builds on: key the decision,
 replay it from the cache when the key matches, otherwise derive it once
-(identically to the pre-cache code path) and store it.  :class:`Planner`
-bundles a device spec, selector settings, and a shared cache for callers
-that want a single object to plan through.
+(identically to the pre-cache code path) and store it.
 
-This module deliberately does not import :mod:`repro.mha` at import time
-(the MHA selector itself imports :mod:`repro.plan`); attention-specific
-compilation lives in :func:`repro.mha.selector.compile_attention_plan`
-and is reached lazily.
+This module deliberately does not import :mod:`repro.mha` (the MHA
+selector itself imports :mod:`repro.plan`); attention-specific
+compilation lives in :func:`repro.mha.selector.compile_attention_plan`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.gpu.cost import estimate_kernel_time
 from repro.plan.cache import PlanCache
 from repro.plan.compiled import CompiledPlan, Launch
 from repro.plan.key import PlanKey
-from repro.plan.symbolic import GuardSet
-
-#: A family request threaded through the compile helpers:
-#: ``(dims, shape, guards)`` — the dims left symbolic, the concrete
-#: binding of every symbolic variable, and the admission guards for the
-#: compiled artifact (``None`` pins each dim exactly).  ``dims=()``
-#: degenerates to the concrete path.
-Family = tuple[tuple[str, ...], Mapping[str, int], "GuardSet | None"]
-
-
-def _cached(
-    cache: PlanCache, key: PlanKey, make: Callable[[], Any], family: Family | None
-) -> Any:
-    """One guarded lookup shared by every compile helper."""
-    if family is None:
-        return cache.get_or_build(key, make)
-    dims, shape, guards = family
-    return cache.get_or_build_family(key, tuple(dims), shape, make, guards=guards)
 
 
 def compile_launches(
@@ -47,17 +26,13 @@ def compile_launches(
     cache: PlanCache | None = None,
     kernel_name: str = "",
     spec: Any = None,
-    family: Family | None = None,
 ) -> CompiledPlan:
     """Wrap a launch-list builder into a cached :class:`CompiledPlan`.
 
     ``build`` must be pure in the key: two calls under equal keys must
     produce equal launch lists (that is the content-addressing contract).
     When ``spec`` is given the plan's ``estimated_s`` is priced through
-    :func:`~repro.gpu.cost.estimate_kernel_time`.  A ``family`` widens
-    the contract from equal keys to guard-admitted shapes: the caller
-    asserts the launch list is identical for every shape the guards
-    admit, and the cache stores one entry per family.
+    :func:`~repro.gpu.cost.estimate_kernel_time`.
     """
 
     def make() -> CompiledPlan:
@@ -76,7 +51,7 @@ def compile_launches(
 
     if cache is None:
         return make()
-    return _cached(cache, key, make, family)
+    return cache.get_or_build(key, make)
 
 
 def compile_kernel_plan(
@@ -88,7 +63,6 @@ def compile_kernel_plan(
     kind: str = "kernel",
     salt: str = "",
     shard: str = "",
-    family: Family | None = None,
 ) -> CompiledPlan:
     """Compile (or replay) one kernel's plan for one attention problem.
 
@@ -96,9 +70,7 @@ def compile_kernel_plan(
     a hit is exactly the plan the kernel would re-derive.  The live
     ``kernel`` object is re-bound on hits (it never travels through the
     cache's persisted form).  ``shard`` carries the parallel-layout
-    fingerprint for per-rank plans ("" when unsharded).  ``family``
-    (dims, shape, guards) makes the lookup guarded: one cached plan per
-    shape family instead of per concrete shape.
+    fingerprint for per-rank plans ("" when unsharded).
     """
     key = PlanKey.for_problem(
         kind, problem, spec, params=params, salt=salt or kernel.name, shard=shard
@@ -117,75 +89,7 @@ def compile_kernel_plan(
             key=key,
         )
 
-    if cache is None:
-        plan = make()
-    else:
-        plan = _cached(cache, key, make, family)
+    plan = make() if cache is None else cache.get_or_build(key, make)
     if plan.kernel is None:
         plan.kernel = kernel
     return plan
-
-
-class Planner:
-    """One spec + one selector mode + one cache: plan anything through it.
-
-    >>> from repro.gpu.specs import A100
-    >>> from repro.mha.problem import AttentionProblem
-    >>> planner = Planner(A100)
-    >>> prob = AttentionProblem.build("sliding_window", 1, 2, 64, 32)
-    >>> plan = planner.plan_attention(prob)
-    >>> planner.plan_attention(prob) is plan   # replayed, not re-derived
-    True
-    """
-
-    def __init__(
-        self,
-        spec: Any,
-        mode: str = "model",
-        tau: float | None = None,
-        cache: PlanCache | None = None,
-    ) -> None:
-        self.spec = spec
-        self.mode = mode
-        self.tau = tau
-        self.cache = cache if cache is not None else PlanCache()
-
-    def plan_attention(
-        self, problem: Any, kind: str = "mha", family: Family | None = None
-    ) -> CompiledPlan:
-        """Selector-driven attention plan (see §4.2), cached."""
-        from repro.mha.selector import compile_attention_plan
-
-        return compile_attention_plan(
-            problem,
-            self.spec,
-            mode=self.mode,
-            tau=self.tau,
-            cache=self.cache,
-            kind=kind,
-            family=family,
-        )
-
-    def plan_kernel(
-        self,
-        kernel: Any,
-        problem: Any,
-        params: dict[str, Any] | None = None,
-        kind: str = "kernel",
-        salt: str = "",
-        family: Family | None = None,
-    ) -> CompiledPlan:
-        """Fixed-kernel plan (no selection), cached."""
-        return compile_kernel_plan(
-            kernel,
-            problem,
-            self.spec,
-            params=params,
-            cache=self.cache,
-            kind=kind,
-            salt=salt,
-            family=family,
-        )
-
-    def stats(self) -> dict[str, Any]:
-        return self.cache.stats()

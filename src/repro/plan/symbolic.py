@@ -1,23 +1,21 @@
 """Symbolic size variables and guarded plan families.
 
 A concrete :class:`~repro.plan.key.PlanKey` pins every dimension to a
-value, so production traffic with arbitrary request lengths compiles one
-plan per shape.  This module makes the concrete key a *special case* of a
-guarded symbolic key (the TorchDynamo ``sizevars`` move): a
-:class:`SymbolicPlanKey` names the dimensions left free (``dims``), keeps
-every other field in a concrete ``base`` key, and carries a
-:class:`GuardSet` — the accumulated predicates under which the compiled
+value, so traffic with arbitrary request lengths would compile one plan
+per shape.  A :class:`SymbolicPlanKey` names the dimensions left free
+(``dims``), keeps every other field in a concrete ``base`` key, and
+carries a :class:`GuardSet` — the predicates under which the compiled
 artifact is valid.  Lookup is "scan the base's families, first whose
-guards admit the shape wins"; a guard failure is a *miss* that recompiles
-and **splits** the family (the new sibling's guards narrow the violated
-guard), never a silent reuse.
+guards admit the shape wins" (``PlanCache.find_family``); a probe no
+family admits is a *miss* that keys a new sibling for its own region,
+never a silent reuse.
 
-Guard grammar (``docs/symbolic_shapes.md``):
+Guard grammar (``docs/symbolic_shapes.md``), one guard per origin:
 
-* :class:`EqGuard` — ``v == value`` (a trivially-guarded concrete dim)
-* :class:`DivisibleGuard` — ``v % modulus == remainder``
-* :class:`BoundGuard` — ``lo <= v <= hi`` (either side open)
-* :class:`BucketGuard` — ``v // width == index`` (bucketed ranges)
+* :class:`BoundGuard` — ``lo <= v <= hi`` (either side open), emitted
+  by codegen's :class:`GuardRecorder`
+* :class:`BucketGuard` — ``v // width == index``, the serving engine's
+  decode-row and prefill-chunk families
 
 Everything is a frozen value type: guard sets order canonically, hash by
 value, digest stably across processes, and round-trip through JSON (the
@@ -26,7 +24,6 @@ plan-cache schema v2 and the codegen sidecars persist them).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -37,55 +34,6 @@ from repro.plan.key import PlanKey
 
 
 # ------------------------------------------------------------------- guards
-
-
-@dataclass(frozen=True)
-class EqGuard:
-    """``value == <const>`` — pins a dimension exactly."""
-
-    var: str
-    value: int
-
-    def check(self, value: int) -> bool:
-        return value == self.value
-
-    def split(self, value: int) -> "EqGuard":
-        return EqGuard(self.var, int(value))
-
-    def canonical(self) -> tuple:
-        return ("eq", self.var, self.value)
-
-    def describe(self) -> str:
-        return f"{self.var} == {self.value}"
-
-
-@dataclass(frozen=True)
-class DivisibleGuard:
-    """``value % modulus == remainder`` (e.g. ``seq_len % block == 0``)."""
-
-    var: str
-    modulus: int
-    remainder: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ConfigError(f"modulus must be >= 1, got {self.modulus}")
-        if not (0 <= self.remainder < self.modulus):
-            raise ConfigError(
-                f"remainder must be in [0, {self.modulus}), got {self.remainder}"
-            )
-
-    def check(self, value: int) -> bool:
-        return value % self.modulus == self.remainder
-
-    def split(self, value: int) -> "DivisibleGuard":
-        return DivisibleGuard(self.var, self.modulus, int(value) % self.modulus)
-
-    def canonical(self) -> tuple:
-        return ("div", self.var, self.modulus, self.remainder)
-
-    def describe(self) -> str:
-        return f"{self.var} % {self.modulus} == {self.remainder}"
 
 
 @dataclass(frozen=True)
@@ -106,13 +54,6 @@ class BoundGuard:
         if self.hi is not None and value > self.hi:
             return False
         return True
-
-    def split(self, value: int) -> "BoundGuard":
-        """The complement half-line admitting the violating ``value``."""
-        value = int(value)
-        if self.lo is not None and value < self.lo:
-            return BoundGuard(self.var, lo=None, hi=self.lo - 1)
-        return BoundGuard(self.var, lo=(self.hi or 0) + 1, hi=None)
 
     def canonical(self) -> tuple:
         return ("bound", self.var, self.lo, self.hi)
@@ -140,9 +81,6 @@ class BucketGuard:
     def check(self, value: int) -> bool:
         return value // self.width == self.index
 
-    def split(self, value: int) -> "BucketGuard":
-        return BucketGuard(self.var, self.width, int(value) // self.width)
-
     def canonical(self) -> tuple:
         return ("bucket", self.var, self.width, self.index)
 
@@ -150,12 +88,10 @@ class BucketGuard:
         return f"{self.var} // {self.width} == {self.index}"
 
 
-Guard = EqGuard | DivisibleGuard | BoundGuard | BucketGuard
+Guard = BoundGuard | BucketGuard
 
 #: JSON tag -> guard class, for persistence round-trips.
 _GUARD_TYPES: dict[str, type] = {
-    "eq": EqGuard,
-    "div": DivisibleGuard,
     "bound": BoundGuard,
     "bucket": BucketGuard,
 }
@@ -209,39 +145,6 @@ class GuardSet:
             if value is None or not g.check(value):
                 return False
         return True
-
-    def vars(self) -> frozenset[str]:
-        return frozenset(g.var for g in self.guards)
-
-    def narrowed(self, extra: "GuardSet | Iterable[Guard]") -> "GuardSet":
-        """This set conjoined with ``extra`` guards (dedup + reorder)."""
-        more = extra.guards if isinstance(extra, GuardSet) else tuple(extra)
-        return GuardSet(self.guards + more)
-
-    def split_for(self, shape: Mapping[str, int]) -> "GuardSet":
-        """The *split sibling* of this set for a violating ``shape``.
-
-        Every guard that ``shape`` violates is replaced by its narrowed
-        complement admitting ``shape`` (``Guard.split``); satisfied guards
-        are kept verbatim; guards over variables absent from ``shape``
-        are kept verbatim too (they cannot be narrowed).  The result
-        admits ``shape`` and, for each violated guard, excludes the
-        region the old family still owns — the family split, never a
-        widening of the old guards.
-        """
-        out: list[Guard] = []
-        for g in self.guards:
-            value = shape.get(g.var)
-            if value is not None and not g.check(value):
-                out.append(g.split(value))
-            else:
-                out.append(g)
-        return GuardSet(out)
-
-    @classmethod
-    def equalities(cls, shape: Mapping[str, int], dims: Iterable[str]) -> "GuardSet":
-        """Trivial guards pinning every dim exactly — the concrete case."""
-        return cls(EqGuard(d, int(shape[d])) for d in dims)
 
     # -------------------------------------------------------------- identity
 
@@ -299,16 +202,12 @@ class GuardSet:
 class SymbolicPlanKey:
     """A plan-family signature: base key + symbolic dims + guard set.
 
-    ``base`` is a concrete :class:`PlanKey` with every symbolic field
-    normalized (``family_base``); ``dims`` names the free variables —
-    key fields (``seq_len``) or derived quantities (``pos``,
-    ``nnz_blocks``) — and ``guards`` is the admission predicate over
-    them.  ``(base, dims)`` is the family *signature* the cache scans;
-    the guards distinguish siblings after splits.
-
-    A concrete key is the degenerate case ``dims=()`` / empty guards
-    (see :func:`trivially_guarded`), which the cache routes straight
-    through the O(1) concrete path.
+    ``base`` is a concrete :class:`PlanKey` that every shape of the
+    family shares (its free dims hold no per-shape value); ``dims``
+    names the free variables (``pos`` in serving, ``n_bh`` in codegen)
+    and ``guards`` is the admission predicate over them.  ``(base,
+    dims)`` is the family *signature* the cache scans; the guards
+    distinguish siblings after splits.
     """
 
     base: PlanKey
@@ -383,43 +282,6 @@ class SymbolicPlanKey:
         )
 
 
-#: Integer PlanKey fields a symbolic dim may free up.
-_SYMBOLIC_FIELDS = frozenset(
-    {"batch", "heads", "seq_len", "kv_seq_len", "head_size"}
-)
-
-
-def family_base(key: PlanKey, dims: Iterable[str]) -> PlanKey:
-    """Normalize the symbolic fields of ``key`` to build a family base.
-
-    Dims naming integer key fields are zeroed (two probes of the same
-    family reach the same base regardless of their concrete values);
-    derived dims (``pos``, ``nnz_blocks``, ...) are not key fields and
-    leave the base untouched — they live only in shapes and guards.
-    """
-    repl = {d: 0 for d in dims if d in _SYMBOLIC_FIELDS}
-    return dataclasses.replace(key, **repl) if repl else key
-
-
-def trivially_guarded(key: PlanKey, dims: Iterable[str] = ()) -> SymbolicPlanKey:
-    """The guarded view of a concrete key — equality guards pinning every
-    requested dim to the key's own value.  This is the upgrade path for
-    v1 warm-start files: a concrete key *is* a family of exactly one
-    shape."""
-    dims = tuple(dims)
-    for d in dims:
-        if d not in _SYMBOLIC_FIELDS:
-            raise ConfigError(
-                f"cannot trivially guard {d!r}: not a PlanKey field"
-            )
-    shape = {d: getattr(key, d) for d in dims}
-    return SymbolicPlanKey(
-        base=family_base(key, dims),
-        dims=dims,
-        guards=GuardSet.equalities(shape, dims),
-    )
-
-
 # ----------------------------------------------------------- guard recording
 
 
@@ -439,9 +301,6 @@ class GuardRecorder:
         self.shape = {k: int(v) for k, v in shape.items()}
         self._guards: list[Guard] = []
 
-    def value(self, var: str) -> int:
-        return self.shape[var]
-
     def le(self, var: str, bound: int) -> bool:
         """``var <= bound``, recording the half-line that keeps it true."""
         bound = int(bound)
@@ -449,15 +308,6 @@ class GuardRecorder:
             self._guards.append(BoundGuard(var, hi=bound))
             return True
         self._guards.append(BoundGuard(var, lo=bound + 1))
-        return False
-
-    def ge(self, var: str, bound: int) -> bool:
-        """``var >= bound``, recording the half-line that keeps it true."""
-        bound = int(bound)
-        if self.shape[var] >= bound:
-            self._guards.append(BoundGuard(var, lo=bound))
-            return True
-        self._guards.append(BoundGuard(var, hi=bound - 1))
         return False
 
     def floordiv(self, var: str, numerator: int, coeff: int, min_value: int = 1) -> int:

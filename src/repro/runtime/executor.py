@@ -65,15 +65,10 @@ class MHABinding:
         spec: GPUSpec,
         cache: PlanCache | None = None,
         shard: str = "",
-        family: "tuple | None" = None,
     ) -> CompiledPlan:
         """The site's plan through the shared plan layer (cached).
 
-        Layer dedup is the trivial family: repeated layers probe equal
-        concrete keys and replay one plan.  A caller holding guards that
-        make the plan shape-stable (e.g. a bound on the site's row count)
-        may pass ``family=(dims, shape, guards)`` to widen dedup to every
-        admitted shape — see :data:`repro.plan.planner.Family`.
+        Repeated layers probe equal concrete keys and replay one plan.
         """
         return compile_kernel_plan(
             self.kernel,
@@ -83,7 +78,6 @@ class MHABinding:
             cache=cache,
             kind="runtime-mha",
             shard=shard,
-            family=family,
         )
 
     def run(self, q2: np.ndarray, k2: np.ndarray, v2: np.ndarray, mask: np.ndarray) -> np.ndarray:

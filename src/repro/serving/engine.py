@@ -372,7 +372,7 @@ class ServingEngine:
             return nnz[offset], rises[offset]
         fam = tr._plan_keys.get(bucket)
         if fam is None:
-            fam = self._decode_family(tr, bucket, pos, rng)
+            fam = self._bucket_family(self._plan_base(tr, rng), pos, width)
             tr._plan_keys[bucket] = fam
         nnz, rises = self.plan_cache.get_or_build(
             fam,
@@ -382,27 +382,29 @@ class ServingEngine:
         )
         return nnz[offset], rises[offset]
 
-    def _decode_family(
-        self, tr: RequestTracker, bucket: int, pos: int, rng: RngStream
+    def _bucket_family(
+        self, base: PlanKey, pos: int, width: int
     ) -> SymbolicPlanKey:
-        """The guarded family key owning decode position ``pos``.
+        """The guarded family key under ``base`` owning position ``pos``.
 
-        Scans the cache's families under this request's base first, so a
-        bucket another request already planned is reused; otherwise a new
-        sibling guarded by this position's bucket is keyed (the cache
-        counts its insertion as a family split).
+        Scans the cache's families under ``base`` first, so a bucket
+        another request already planned is reused; otherwise a new
+        sibling guarded by ``pos // width`` is keyed (the cache counts its
+        insertion as a family split).
         """
-        base = tr._plan_base
-        if base is None:
-            base = self._decode_base(tr, rng)
-            tr._plan_base = base
         fam = self.plan_cache.find_family(base, ("pos",), {"pos": pos})
         if fam is None:
-            width = self.config.plan_bucket_tokens
             fam = SymbolicPlanKey(
-                base, ("pos",), GuardSet((BucketGuard("pos", width, bucket),))
+                base, ("pos",), GuardSet((BucketGuard("pos", width, pos // width),))
             )
         return fam
+
+    def _plan_base(self, tr: RequestTracker, rng: RngStream) -> PlanKey:
+        """:meth:`_decode_base` of the request, derived once per request."""
+        base = tr._plan_base
+        if base is None:
+            base = tr._plan_base = self._decode_base(tr, rng)
+        return base
 
     def _decode_base(self, tr: RequestTracker, rng: RngStream) -> PlanKey:
         """The concrete part of a request's decode family keys.
@@ -550,10 +552,7 @@ class ServingEngine:
         a = tr.prefilled
         b = min(a + min(width, max_rows), tr.context_len)
         if cfg.use_plan_cache and b - a == width:
-            base = tr._plan_base
-            if base is None:
-                base = self._decode_base(tr, rng)
-                tr._plan_base = base
+            base = self._plan_base(tr, rng)
             # (bucket, in-bucket offset) uniquely name the start position,
             # and full width pins the extent, so the cached price is a
             # pure function of the family key.
@@ -564,15 +563,9 @@ class ServingEngine:
                 salt=f"chunk:w={width}:o={a % width}",
                 shard=self.shard_fingerprint,
             )
-            fam = self.plan_cache.find_family(chunk_base, ("pos",), {"pos": a})
-            if fam is None:
-                fam = SymbolicPlanKey(
-                    chunk_base,
-                    ("pos",),
-                    GuardSet((BucketGuard("pos", width, a // width),)),
-                )
             seconds, launches = self.plan_cache.get_or_build(
-                fam, lambda: self._price_chunk(tr, a, b, rng)
+                self._bucket_family(chunk_base, a, width),
+                lambda: self._price_chunk(tr, a, b, rng),
             )
         else:
             seconds, launches = self._price_chunk(tr, a, b, rng)

@@ -303,13 +303,6 @@ class ServingReport:
         """Worst single inter-token gap any request observed."""
         return max((r.itl_max_s for r in self.requests), default=0.0)
 
-    @property
-    def mean_latency_s(self) -> float:
-        done = [r.latency_s for r in self.requests if r.is_finished]
-        if not done:
-            return 0.0
-        return float(np.mean(done))
-
     # -------------------------------------------------------------- rendering
 
     def summary(self) -> str:

@@ -145,26 +145,14 @@ class PerformanceCache:
         segment_id: Hashable,
         params: dict[str, Any],
         measure: Callable[[], float],
-        family: "tuple | None" = None,
     ) -> float | None:
         """Return the kernel time for (segment, params), pricing a miss.
 
         ``measure`` runs the device model; if it raises (infeasible launch
         configuration) the failure is cached as ``inf`` — a real tuner also
         remembers configs that failed to launch — and ``None`` is returned.
-
-        ``family`` is an optional ``(dims, shape, guards)`` triple (see
-        :data:`repro.plan.planner.Family`): a caller that knows a
-        measurement transfers across a shape region — e.g. the segment's
-        cost is flat while ``nnz_blocks <= K`` — shares one cached
-        measurement per family, with guard failures re-measuring under a
-        split instead of silently reusing a stale time.
         """
-        key = measurement_key(segment_id, params)
-        if family is not None:
-            dims, shape, guards = family
-            key = self.plans.family_key(key, tuple(dims), shape, guards)
-        return self.evaluate_key(key, measure)
+        return self.evaluate_key(measurement_key(segment_id, params), measure)
 
     def evaluate_key(
         self, key: PlanKey, measure: Callable[[], float]
@@ -205,17 +193,12 @@ class PerformanceCache:
         first of equal times wins.  Only the segment's own entries are read
         (the plan cache's salt index).
         """
-        times: dict[tuple, float] = {}
-        for key, t in self.plans.salt_items(TUNER_KIND, _segment_id(segment_id)):
-            # A later guard sibling of the same setting overrides the
-            # time but keeps the setting's place, as in ``entries``.
-            times[key.params] = t
         best: tuple[float, tuple] | None = None
-        for pkey, t in times.items():
+        for key, t in self.plans.salt_items(TUNER_KIND, _segment_id(segment_id)):
             if t == float("inf"):
                 continue
             if best is None or t < best[0]:
-                best = (t, pkey)
+                best = (t, key.params)
         return best
 
     @property

@@ -7,11 +7,24 @@ import math
 
 import pytest
 
+from repro.core.errors import ConfigError
 from repro.plan import CompiledPlan, PlanCache, PlanKey
 
 
 def _key(i: int, kind: str = "test") -> PlanKey:
     return PlanKey(kind=kind, salt=f"entry-{i}")
+
+
+def _file_with_family_guard(guard: dict) -> str:
+    """A v2 file holding a valid entry, then a family guarded by ``guard``."""
+    return json.dumps({
+        "version": 2,
+        "entries": [{"key": _key(0).to_dict(), "value": {"t": "num", "v": 1}}],
+        "families": [{
+            "key": {"base": _key(1).to_dict(), "dims": ["pos"], "guards": [guard]},
+            "value": {"t": "num", "v": 2},
+        }],
+    })
 
 
 class TestCore:
@@ -143,8 +156,39 @@ class TestPersistence:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "plans.json"
         path.write_text(json.dumps({"version": 999, "entries": []}))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ConfigError, match="version"):
             PlanCache().load(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,                                            # missing file
+            "{not json",                                     # not JSON
+            "[]",                                            # not an object
+            json.dumps({"version": 7, "entries": []}),       # unknown version
+            json.dumps({"version": 2, "entries": [{"value": {"t": "num", "v": 1}}]}),
+            # A valid entry before the malformed one: nothing loads.
+            json.dumps({"version": 2, "entries": [
+                {"key": _key(0).to_dict(), "value": {"t": "num", "v": 1}},
+                {"key": {"kind": "test", "no_such_field": 1},
+                 "value": {"t": "num", "v": 2}},
+            ]}),
+            _file_with_family_guard({"t": "eq", "var": "pos", "value": 3}),
+            _file_with_family_guard(
+                {"t": "div", "var": "pos", "modulus": 4, "remainder": 0}
+            ),
+        ],
+        ids=["missing", "not-json", "list", "version-7", "entry-without-key",
+             "second-entry-malformed", "eq-guard", "div-guard"],
+    )
+    def test_malformed_file_raises_config_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "plans.json"
+        if content is not None:
+            path.write_text(content)
+        cache = PlanCache()
+        with pytest.raises(ConfigError, match="plans.json"):
+            cache.load(path)
+        assert len(cache) == 0
 
     def test_save_file_is_deterministic(self, tmp_path):
         def build() -> PlanCache:

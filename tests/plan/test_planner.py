@@ -1,4 +1,4 @@
-"""Planner facade + cache integration with the MHA selector and executors.
+"""Plan-cache integration with the MHA selector and executors.
 
 The refactor's contract is behavior preservation: a cached planning pass
 must produce *identical* plans and reports to an uncached one — caching
@@ -17,7 +17,8 @@ from repro.gpu.specs import get_spec
 from repro.mha.module import UnifiedMHA
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
-from repro.plan import CompiledPlan, PlanCache, Planner, compile_kernel_plan
+from repro.mha.selector import compile_attention_plan
+from repro.plan import CompiledPlan, PlanCache, compile_kernel_plan
 
 
 def _problem(pattern: str = "bigbird", seed: int = 0) -> AttentionProblem:
@@ -27,12 +28,11 @@ def _problem(pattern: str = "bigbird", seed: int = 0) -> AttentionProblem:
     )
 
 
-class TestPlannerFacade:
-    def test_plan_attention_matches_unified_mha(self):
+class TestCompileAttentionPlan:
+    def test_matches_unified_mha(self):
         spec = get_spec("a100")
         problem = _problem()
-        planner = Planner(spec)
-        plan = planner.plan_attention(problem)
+        plan = compile_attention_plan(problem, spec, cache=PlanCache())
         direct = UnifiedMHA(spec).plan(problem)
         assert isinstance(plan, CompiledPlan)
         assert plan.kernel_name == direct.kernel_name
@@ -40,27 +40,28 @@ class TestPlannerFacade:
         assert plan.launch_count == direct.launch_count
         assert plan.choice == direct.choice
 
-    def test_repeat_plans_hit_the_cache(self):
-        planner = Planner(get_spec("a100"))
-        problem = _problem()
-        first = planner.plan_attention(problem)
-        second = planner.plan_attention(problem)
-        assert second is first                 # replayed, not recomputed
-        stats = planner.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_plan_kernel_round_trip(self):
+    def test_repeat_compile_hits_the_cache(self):
         spec = get_spec("a100")
-        planner = Planner(spec)
+        cache = PlanCache()
         problem = _problem()
-        kernel = RowWiseKernel()
-        plan = planner.plan_kernel(kernel, problem)
-        assert plan.kernel is kernel
-        assert plan.estimated_s > 0
-        assert planner.plan_kernel(kernel, problem) is plan
+        plan = compile_attention_plan(problem, spec, cache=cache)
+        again = compile_attention_plan(problem, spec, cache=cache)
+        assert again is plan                   # replayed, not recomputed
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
 
 
 class TestCompileKernelPlan:
+    def test_repeat_compile_replays_the_plan(self):
+        spec = get_spec("a100")
+        cache = PlanCache()
+        problem = _problem()
+        kernel = RowWiseKernel()
+        plan = compile_kernel_plan(kernel, problem, spec, cache=cache)
+        assert plan.kernel is kernel
+        assert plan.estimated_s > 0
+        assert compile_kernel_plan(kernel, problem, spec, cache=cache) is plan
+
     def test_distinct_params_distinct_entries(self):
         spec = get_spec("a100")
         cache = PlanCache()

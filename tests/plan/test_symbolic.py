@@ -2,15 +2,13 @@
 
 Three invariant groups, all hypothesis-driven:
 
-* **Guard algebra** — round-trips (JSON, canonical ordering), split
-  semantics (a split sibling admits the violator; the violated region
-  never silently widens back), and the recorder's baked-constant regions
-  (``floordiv`` guards admit exactly the values that reproduce the baked
-  constant).
-* **Cache families** — the concrete path is the degenerate family
-  (``dims=()`` is byte-for-byte ``get_or_build``), family lookup is
-  first-admitting-sibling, and a split never re-admits the shape that
-  caused it to the old sibling.
+* **Guard algebra** — round-trips (JSON, canonical ordering) and the
+  recorder's baked-constant regions (``floordiv`` guards admit exactly
+  the values that reproduce the baked constant).
+* **Cache families** — keyed the way the serving engine and codegen key
+  them (``find_family``, else ``put`` a new ``SymbolicPlanKey``): the
+  first admitting sibling wins, each guard region builds once, a revisit
+  replays its own sibling's value, and each new sibling counts one split.
 * **Emission differential** — any ``n_bh`` admitted by a recorded
   family's guards re-emits the byte-identical module and produces output
   identical to a fresh concrete compile of that shape.
@@ -26,17 +24,13 @@ from repro.core.errors import ConfigError
 from repro.plan import (
     BoundGuard,
     BucketGuard,
-    DivisibleGuard,
-    EqGuard,
     GuardRecorder,
     GuardSet,
     PlanCache,
     PlanKey,
     SymbolicPlanKey,
-    family_base,
     guard_from_dict,
     guard_to_dict,
-    trivially_guarded,
 )
 
 # ------------------------------------------------------------- strategies
@@ -47,13 +41,8 @@ names = st.sampled_from(("seq_len", "pos", "n_bh", "nnz_blocks"))
 
 @st.composite
 def guards(draw):
-    kind = draw(st.sampled_from(("eq", "div", "bound", "bucket")))
+    kind = draw(st.sampled_from(("bound", "bucket")))
     var = draw(names)
-    if kind == "eq":
-        return EqGuard(var, draw(values))
-    if kind == "div":
-        mod = draw(st.integers(min_value=1, max_value=512))
-        return DivisibleGuard(var, mod, draw(st.integers(0, mod - 1)))
     if kind == "bucket":
         return BucketGuard(
             var, draw(st.integers(1, 512)), draw(st.integers(0, 64))
@@ -68,16 +57,6 @@ def guards(draw):
 @st.composite
 def guard_sets(draw):
     return GuardSet(draw(st.lists(guards(), max_size=6)))
-
-
-@st.composite
-def shapes(draw):
-    return {
-        "seq_len": draw(values),
-        "pos": draw(values),
-        "n_bh": draw(values),
-        "nnz_blocks": draw(values),
-    }
 
 
 # ----------------------------------------------------------- guard algebra
@@ -103,25 +82,6 @@ def test_guard_set_order_insensitive(gl, rnd):
     assert a == b
     assert hash(a) == hash(b)
     assert a.digest == b.digest
-
-
-@given(guard_sets(), shapes())
-def test_split_admits_the_violator(gs, shape):
-    split = gs.split_for(shape)
-    assert split.check(shape)
-    if gs.check(shape):
-        assert split == gs  # nothing violated: split is the identity
-
-
-@given(guards(), values)
-def test_single_guard_split_excludes_old_region(g, v):
-    """The split sibling admits the violator; the old guard still rejects
-    it — the two regions stay disjoint at the violating point."""
-    if g.check(v):
-        return
-    sibling = g.split(v)
-    assert sibling.check(v)
-    assert not g.check(v)
 
 
 @given(
@@ -158,10 +118,6 @@ def test_recorder_le_records_exact_half_line(value, bound):
 
 def test_guard_validation():
     with pytest.raises(ConfigError):
-        DivisibleGuard("x", 0)
-    with pytest.raises(ConfigError):
-        DivisibleGuard("x", 4, 4)
-    with pytest.raises(ConfigError):
         BoundGuard("x", lo=5, hi=4)
     with pytest.raises(ConfigError):
         BucketGuard("x", 0, 0)
@@ -181,81 +137,77 @@ def _key(seq_len: int, kind: str = "mha") -> PlanKey:
                    kv_seq_len=seq_len, head_size=16, pattern="causal")
 
 
-def test_concrete_path_is_degenerate_family():
-    a, b = PlanCache(), PlanCache()
-    key = _key(64)
-    va = a.get_or_build(key, lambda: "plan")
-    vb = b.get_or_build_family(key, (), {}, lambda: "plan")
-    assert va == vb
-    assert a.stats() == b.stats()
-    assert b.stats()["symbolic"]["families"] == 0
-
-
 @given(st.lists(st.integers(1, 4096), min_size=1, max_size=24))
 def test_family_lookup_never_silently_reuses(seqs):
-    """Each distinct guard region builds exactly once; every revisit of an
-    admitted shape replays the family's value, never a stale sibling's."""
+    """Keyed as serving keys decode rows (a ``BucketGuard`` sibling per
+    region): each region builds exactly once, every revisit replays its
+    own sibling's value, and each new sibling counts one split."""
     cache = PlanCache(max_entries=None)
+    base = _key(0)
     built = []
 
     def plan_for(seq_len):
-        bucket = seq_len // 256
-        guards = GuardSet([BucketGuard("seq_len", 256, bucket)])
-        key = PlanKey(kind="mha", batch=1, heads=2, seq_len=seq_len,
-                      kv_seq_len=4096, head_size=16, pattern="causal")
+        shape = {"seq_len": seq_len}
+        fam = cache.find_family(base, ("seq_len",), shape)
+        if fam is None:
+            fam = SymbolicPlanKey(
+                base, ("seq_len",),
+                GuardSet([BucketGuard("seq_len", 256, seq_len // 256)]),
+            )
+        assert fam.admits(shape)
+
         def build():
-            built.append(bucket)
-            return ("plan", bucket)
-        return cache.get_or_build_family(
-            key, ("seq_len",), {"seq_len": seq_len}, build, guards=guards,
-        )
+            built.append(seq_len // 256)
+            return ("plan", seq_len // 256)
+        return cache.get_or_build(fam, build)
 
     for seq in seqs:
         value = plan_for(seq)
         assert value == ("plan", seq // 256)  # guard admits => right plan
     assert sorted(set(built)) == sorted(built)  # one build per region
+    regions = {seq // 256 for seq in seqs}
+    sym = cache.stats()["symbolic"]
+    assert sym["families"] == len(regions)
+    assert sym["splits"] == len(regions) - 1
 
 
 def test_split_family_never_readmits_violator():
+    """Keyed as codegen keys modules (a sibling per recorded
+    ``BoundGuard`` region): a probe the first sibling rejects keys a new
+    sibling that excludes the old region, and lookups take the first
+    admitting sibling."""
     cache = PlanCache(max_entries=None)
-    key = _key(100)
-    guards = GuardSet([BoundGuard("seq_len", hi=128)])
-    fam1 = cache.family_key(key, ("seq_len",), {"seq_len": 100}, guards)
+    base = _key(0)
+    dims = ("n_bh",)
+
+    def key_for(n_bh):
+        fam = cache.find_family(base, dims, {"n_bh": n_bh})
+        if fam is None:
+            rec = GuardRecorder(n_bh=n_bh)
+            rec.le("n_bh", 128)
+            fam = SymbolicPlanKey(base, dims, rec.guard_set())
+        return fam
+
+    fam1 = key_for(100)
     cache.put(fam1, "small")
     # A violating shape resolves to a *new* sibling...
-    fam2 = cache.family_key(
-        key, ("seq_len",), {"seq_len": 500},
-        GuardSet([BoundGuard("seq_len", hi=1024)]),
-    )
-    assert fam2 is not fam1
-    assert fam2.admits({"seq_len": 500})
-    # ...whose guards exclude the old sibling's region (the narrowed
-    # complement of the violated bound), and the old sibling still
-    # rejects the violator: the regions never overlap at either probe.
-    assert not fam1.admits({"seq_len": 500})
-    assert not fam2.admits({"seq_len": 100})
+    fam2 = key_for(500)
+    assert fam2 != fam1
+    assert fam2.admits({"n_bh": 500})
+    # ...and the regions never overlap at either probe.
+    assert not fam1.admits({"n_bh": 500})
+    assert not fam2.admits({"n_bh": 100})
     cache.put(fam2, "large")
     assert cache.stats()["symbolic"]["splits"] == 1
-    # Lookup returns the right sibling for each region.
-    assert cache.find_family(fam1.base, ("seq_len",), {"seq_len": 64}) == fam1
-    assert cache.find_family(fam1.base, ("seq_len",), {"seq_len": 999}) == fam2
-
-
-def test_family_base_zeroes_only_symbolic_key_fields():
-    key = _key(384)
-    base = family_base(key, ("seq_len", "pos"))
-    assert base.seq_len == 0
-    assert base.kv_seq_len == 384     # not freed
-    assert base.kind == key.kind
-    assert family_base(key, ("pos",)) == key  # derived dim: base untouched
-
-
-def test_trivially_guarded_pins_exactly():
-    fam = trivially_guarded(_key(256), ("seq_len",))
-    assert fam.admits({"seq_len": 256})
-    assert not fam.admits({"seq_len": 257})
-    with pytest.raises(ConfigError):
-        trivially_guarded(_key(256), ("pos",))
+    # A revisit replays its own sibling's value.
+    assert key_for(64) == fam1 and cache.get(key_for(64)) == "small"
+    assert key_for(999) == fam2 and cache.get(key_for(999)) == "large"
+    # An overlapping later sibling never shadows an earlier one.
+    wide = SymbolicPlanKey(base, dims, GuardSet([BoundGuard("n_bh", hi=1024)]))
+    cache.put(wide, "wide")
+    assert cache.stats()["symbolic"]["splits"] == 2
+    assert cache.find_family(base, dims, {"n_bh": 64}) == fam1
+    assert cache.find_family(base, dims, {"n_bh": 500}) == fam2
 
 
 # ------------------------------------------------------------- persistence
@@ -264,9 +216,7 @@ def test_trivially_guarded_pins_exactly():
 def test_v2_round_trip_preserves_families(tmp_path):
     cache = PlanCache(max_entries=None)
     fam = SymbolicPlanKey(
-        family_base(_key(0, "serving-decode"), ("pos",)),
-        ("pos",),
-        GuardSet([BucketGuard("pos", 64, 3)]),
+        _key(0, "serving-decode"), ("pos",), GuardSet([BucketGuard("pos", 64, 3)])
     )
     cache.put(fam, {"rows": 7})
     cache.put(_key(128), 0.5)

@@ -229,6 +229,17 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ["{not json", "[]"],
+                             ids=["not-json", "list"])
+    def test_plan_cache_load_malformed_file_exits_2(self, tmp_path, capsys,
+                                                    content):
+        path = tmp_path / "plans.json"
+        path.write_text(content)
+        assert main(["plan-cache", "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "plans.json" in err
+        assert "Traceback" not in err
+
 
 class TestTraceAndReport:
     def test_trace_export(self, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Random interleavings of the operations that change a shared plan cache's
 tuner entries or their recency — measurements (repeats, equal times,
-failures, guard-family siblings), direct ``get``/``put`` of tuner keys,
+failures), direct ``get``/``put`` of tuner keys,
 other kinds' entries, ``PerformanceCache.load``, ``PlanCache.save`` and
 ``load`` round trips, ``clear`` and LRU eviction — must leave
 ``best_for`` equal to the walk over ``entries`` for every segment after
@@ -26,7 +26,7 @@ segment = st.sampled_from(SEGMENTS)
 setting = st.integers(0, 3)
 time = st.sampled_from(TIMES)
 op = st.one_of(
-    st.tuples(st.just("evaluate"), segment, setting, time, st.sampled_from((None, 1, 2))),
+    st.tuples(st.just("evaluate"), segment, setting, time),
     st.tuples(st.just("put"), segment, setting, time),
     st.tuples(st.just("get"), segment, setting),
     st.tuples(st.just("other"), st.integers(0, 5)),
@@ -42,15 +42,14 @@ def apply(op, perf: PerformanceCache, tmp: Path) -> PerformanceCache:
     name, *args = op
     plans = perf.plans
     if name == "evaluate":
-        seg, a, t, pos = args
-        family = None if pos is None else (("pos",), {"pos": pos}, None)
+        seg, a, t = args
 
         def measure():
             if t is None:
                 raise ValueError("launch failed")
             return t
 
-        perf.evaluate(seg, {"a": a}, measure, family=family)
+        perf.evaluate(seg, {"a": a}, measure)
     elif name == "put":
         seg, a, t = args
         plans.put(measurement_key(seg, {"a": a}), float("inf") if t is None else t)

@@ -136,18 +136,6 @@ def test_best_for_equals_the_entries_walk(tuned_bert_base):
     assert cache.best_for("no such segment") is None
 
 
-def test_best_for_with_guard_siblings():
-    """A later family sibling of a setting overrides its time in place."""
-    cache = PerformanceCache()
-    fam = lambda pos: (("pos",), {"pos": pos}, None)  # noqa: E731
-    cache.evaluate("seg", {"a": 1}, lambda: 1.0, family=fam(10))
-    cache.evaluate("seg", {"a": 2}, lambda: 1.5)
-    cache.evaluate("seg", {"a": 1}, lambda: 3.0, family=fam(20))
-    cache.evaluate("seg", {"a": 3}, lambda: 1.5)
-    assert len(cache.plans) == 4 and len(cache.entries) == 3
-    assert cache.best_for("seg") == oracle_best_for(cache, "seg") == (1.5, (("a", 2),))
-
-
 def test_retuning_a_chain_derives_no_setting(monkeypatch):
     """A chain the engine already tuned, or a repeat of it, replays its
     candidate lists: no ``params_key``, no candidate list, no generator,
