@@ -124,8 +124,7 @@ def random_block_mask(
 def causal_mask(seq_len: int) -> np.ndarray:
     """Lower-triangular decoder mask: attend iff ``j <= i``."""
     _check_seq_len(seq_len)
-    idx = np.arange(seq_len)
-    return idx[None, :] <= idx[:, None]
+    return np.tri(seq_len, dtype=bool)
 
 
 @dataclass(frozen=True)

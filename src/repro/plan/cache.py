@@ -99,10 +99,26 @@ class PlanCache:
 
     def put(self, key: PlanKey, value: Any) -> Any:
         """Insert (or refresh) an entry, evicting the LRU tail if full."""
+        if self._insert(key, value):
+            # A second guard variant joining an existing family is a
+            # *split* event: the prior siblings rejected a shape, so
+            # planning keyed a new sibling for its region.
+            self.splits += 1
+            kind = key.kind
+            self._kind_splits[kind] = self._kind_splits.get(kind, 0) + 1
+            m = current_metrics()
+            if m.enabled:
+                m.counter("plan_cache.splits", kind=kind).inc()
+        return value
+
+    def _insert(self, key: PlanKey, value: Any) -> bool:
+        """``put`` without the split accounting; True when ``key`` joins a
+        family that already has members."""
+        split = False
         if key in self._entries:
             self._entries.move_to_end(key)
         elif isinstance(key, SymbolicPlanKey):
-            self._register_family(key)
+            split = self._register_family(key)
         self._entries[key] = value
         if self._salts:
             self._index(key, value)
@@ -117,7 +133,7 @@ class PlanCache:
                 m = current_metrics()
                 if m.enabled:
                     m.counter("plan_cache.evictions", kind=evicted_key.kind).inc()
-        return value
+        return split
 
     def _index(self, key: PlanKey, value: Any) -> None:
         """Mirror a put into the salt index (most recent last)."""
@@ -158,21 +174,13 @@ class PlanCache:
         entries = self._salts[kind].get(salt)
         return list(entries.items()) if entries else []
 
-    def _register_family(self, key: SymbolicPlanKey) -> None:
+    def _register_family(self, key: SymbolicPlanKey) -> bool:
+        """Add ``key`` to its family; True when it joins siblings."""
         members = self._families.setdefault(key.signature, [])
         if key in members:
-            return
-        if members:
-            # A second guard variant joining an existing family is a
-            # *split* event: the prior siblings rejected a shape, so
-            # planning keyed a new sibling for its region.
-            self.splits += 1
-            kind = key.kind
-            self._kind_splits[kind] = self._kind_splits.get(kind, 0) + 1
-            m = current_metrics()
-            if m.enabled:
-                m.counter("plan_cache.splits", kind=kind).inc()
+            return False
         members.append(key)
+        return len(members) > 1
 
     def _deregister_family(self, key: SymbolicPlanKey) -> None:
         members = self._families.get(key.signature)
@@ -336,8 +344,9 @@ class PlanCache:
         adds the ``families`` list of guarded symbolic keys.  An
         unreadable file, an unknown version or a malformed entry raises
         :class:`ConfigError` naming the file, before anything is cached.
-        Warm-starting restores cache *structure* — split counters
-        describe this process's planning events and are left untouched.
+        Warm-starting restores cache *structure* — splits, counted in
+        ``stats()`` and in the ``plan_cache.splits`` metric, describe
+        this process's planning events, so loaded families count none.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -361,10 +370,8 @@ class PlanCache:
             raise ConfigError(
                 f"malformed plan-cache entries in {path}: {exc!r}"
             ) from exc
-        splits, kind_splits = self.splits, dict(self._kind_splits)
         for key, value in rows:
-            self.put(key, value)
-        self.splits, self._kind_splits = splits, kind_splits
+            self._insert(key, value)
         return len(rows)
 
 

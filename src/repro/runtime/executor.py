@@ -379,9 +379,9 @@ def plan_chains(
     spec: GPUSpec,
     scheme_policy: Callable[[FusionSchemeConverter, int], tuple[int, ...]],
     tokens: int,
-    params_policy: Callable[[CompilationTemplate], dict[str, Any]] | None = None,
 ) -> list[ChainPlan]:
-    """Segment every downstream chain per the engine's policy."""
+    """Segment every downstream chain per the engine's policy, each
+    segment at its first launchable parameters."""
     plans: list[ChainPlan] = []
     for chain in extract_chains(graph):
         converter = FusionSchemeConverter(graph, chain)
@@ -410,10 +410,7 @@ def plan_chains(
             templates = converter.scheme_templates(scheme)
             assert templates is not None
 
-        params = [
-            params_policy(t) if params_policy else _first_feasible_params(t, spec)
-            for t in templates
-        ]
+        params = [_first_feasible_params(t, spec) for t in templates]
         plans.append(ChainPlan(chain, scheme, templates, params))
     return plans
 

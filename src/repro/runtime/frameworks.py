@@ -161,7 +161,8 @@ class Engine:
 
     #: None = keep native attention ops in the downstream chains.
     attention_kernel: AttentionKernel | None = None
-    scheme_policy: Callable = staticmethod(singleton_scheme)
+    #: None = no pre-plan: ``_post_prepare`` plans every chain.
+    scheme_policy: Callable | None = staticmethod(singleton_scheme)
 
     def workspace_bytes(self, inst: ModelInstance, problems: list[AttentionProblem]) -> float:
         return 0.0
@@ -186,6 +187,10 @@ class Engine:
         masks: dict[str, np.ndarray],
         mask_patterns: dict[str, str] | None = None,
     ) -> PreparedModel:
+        """Bind attention, pre-plan every chain with ``scheme_policy`` at
+        its first launchable parameters, then let ``_post_prepare`` tune.
+        With no policy (STOF with its fusion module on), ``_post_prepare``
+        plans every chain itself."""
         self.check_supported(inst, masks)
         if self.attention_kernel is not None or self._captures_attention():
             graph, bindings = rewrite_attention(
@@ -193,7 +198,8 @@ class Engine:
             )
         else:
             graph, bindings = inst.graph, []
-        chains = plan_chains(graph, spec, self.scheme_policy, inst.tokens)
+        policy = self.scheme_policy
+        chains = [] if policy is None else plan_chains(graph, spec, policy, inst.tokens)
         problems = [b.problem for _, b in bindings]
         prepared = PreparedModel(
             engine_name=self.name,

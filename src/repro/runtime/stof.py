@@ -8,12 +8,14 @@ Ties the whole framework together (paper Fig. 5):
 * every downstream chain is tuned by the two-stage search engine
   (:mod:`repro.tuner.engine`) — rule-based init, fusion expansion,
   reward-based parameter sampling — all served from a shared performance
-  cache.
+  cache.  The tuner's results are the chain plans, one ``ChainPlan`` per
+  chain in ``extract_chains`` order; no other policy plans them first.
 
 Ablation flags drive Fig. 13: ``use_mha_module=False`` falls back to the
 integrated FlashAttention2 kernel (what ``torch.compile`` provides);
 ``use_fusion_module=False`` falls back to inductor-style MI fusion with
-default parameters.
+default parameters — the only STOF configuration that pre-plans chains
+with ``plan_chains``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 import numpy as np
 
 from repro.core.rng import RngStream
+from repro.fusion.converter import extract_chains
 from repro.gpu.specs import GPUSpec
 from repro.mha.baselines import FlashAttention2Attention
 from repro.mha.blockwise import BlockWiseKernel
@@ -31,7 +34,7 @@ from repro.mha.rowwise import RowWiseKernel
 from repro.mha.selector import KernelChoice, select_kernel
 from repro.models.build import ModelInstance
 from repro.runtime.capture import MHACapture
-from repro.runtime.executor import MHABinding, PreparedModel
+from repro.runtime.executor import ChainPlan, MHABinding, PreparedModel
 from repro.runtime.frameworks import (
     COMPILED_DISPATCH_S,
     Engine,
@@ -45,7 +48,6 @@ class STOFEngine(Engine):
     """STOF with optional module ablation (Fig. 13)."""
 
     dispatch_overhead_s = COMPILED_DISPATCH_S
-    scheme_policy = staticmethod(inductor_scheme)  # fallback when fusion off
 
     def __init__(
         self,
@@ -80,6 +82,12 @@ class STOFEngine(Engine):
             (False, False): "-neither",
         }[(use_mha_module, use_fusion_module)]
         self.name = f"stof{suffix}"
+
+    @property
+    def scheme_policy(self):
+        # Inductor-style MI fusion only for Fig. 13's fusion-off ablation:
+        # with the fusion module on, the tuner plans every chain.
+        return None if self.use_fusion_module else inductor_scheme
 
     # ------------------------------------------------------------- attention
 
@@ -138,18 +146,15 @@ class STOFEngine(Engine):
                 cost_model=self.cost_model,
                 cache=PerformanceCache(self.cost_model),
             )
-            results = engine.tune_graph(prepared.graph, prepared.instance.tokens)
-            # Re-segment the prepared chains per the tuned schemes.
-            by_first = {
-                cp.chain.node_names[0]: cp for cp in prepared.chains
-            }
-            for first, result in results.items():
-                cp = by_first.get(first)
-                if cp is None:
-                    continue
-                cp.scheme = result.scheme
-                cp.templates = [s.template for s in result.segments]
-                cp.params = [s.best_params for s in result.segments]
+            graph, tokens = prepared.graph, prepared.instance.tokens
+            for chain in extract_chains(graph):
+                result = engine.tune_chain(graph, chain, tokens)
+                prepared.chains.append(ChainPlan(
+                    chain,
+                    result.scheme,
+                    [s.template for s in result.segments],
+                    [s.best_params for s in result.segments],
+                ))
                 overhead = overhead.merged(result.overhead)
             prepared.tuning_time_s = engine.total_tuning_time_s
         self.last_overhead = overhead

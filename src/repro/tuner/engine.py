@@ -17,12 +17,14 @@ Per operator chain:
 Chains with identical operator/shape signatures share cache entries, so a
 24-layer model tunes each distinct segment once — this, plus the reward
 allocation, is where STOF's Table 4 advantage comes from.  The engine
-also derives each candidate list once: a repeated chain replays its
-settings, with their measurement keys, and measures through cache hits.
+also derives each candidate list and each initial scheme once: a repeated
+chain reuses its rule-based scheme, replays its settings with their
+measurement keys, and measures through cache hits.
 
 Host-side bookkeeping time (hash encoding, template matching, reward
-algorithm, the analytical initialization) is measured separately into
-:class:`OverheadBreakdown` — the Fig. 14 data.
+algorithm, the analytical initialization — one derivation per distinct
+chain) is measured separately into :class:`OverheadBreakdown` — the
+Fig. 14 data.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.core.errors import TuningError
+from repro.core.errors import GraphError, TuningError
 from repro.core.rng import RngStream
 from repro.fusion.converter import FusionSchemeConverter, OperatorChain, extract_chains
 from repro.fusion.rules import apply_move, legal_moves
@@ -131,9 +133,10 @@ class TwoStageEngine:
         self.cache = cache or PerformanceCache(
             cost_model or EvalCostModel(), plans=plan_cache
         )
-        # Candidate lists by everything their draw reads; they die with
-        # the engine.
+        # Candidate lists and initial schemes by everything their
+        # derivation reads; they die with the engine.
         self._settings: dict[tuple, list[Setting]] = {}
+        self._initial_schemes: dict[tuple, tuple[int, ...]] = {}
 
     # ----------------------------------------------------------- primitives
 
@@ -153,6 +156,36 @@ class TwoStageEngine:
             settings = [Setting(segment_id, params) for params in draw()]
             self._settings[memo_key] = settings
         return settings
+
+    def _initial_scheme(
+        self, converter: FusionSchemeConverter, tokens: int
+    ) -> tuple[int, ...]:
+        """The converter's rule-based scheme, derived once per distinct
+        chain: keyed on the whole chain resolved as one segment, node
+        names aside (each op's class, attributes, shapes and input
+        sources, and the outputs also read elsewhere).  No segment the
+        derivation binds reads anything beyond that."""
+        whole = converter.segment(0, converter.chain.n_ops)
+        memo_key = (
+            tuple(
+                (type(op), tuple(sorted(
+                    (k, v) for k, v in vars(op).items() if k != "name"
+                )))
+                for op in whole.ops
+            ),
+            whole.signature,
+            tuple(whole.out_shapes),
+            tuple(map(tuple, whole.sources)),
+            tuple(whole.aux_write_indices),
+            tokens, self.ci_chain_token_limit, self.spec,
+        )
+        scheme = self._initial_schemes.get(memo_key)
+        if scheme is None:
+            scheme = converter.initial_scheme(
+                tokens, self.ci_chain_token_limit, spec=self.spec
+            )
+            self._initial_schemes[memo_key] = scheme
+        return scheme
 
     def _stage1_settings(
         self,
@@ -262,9 +295,7 @@ class TwoStageEngine:
 
         # ---- initialization (analytical model) ------------------------------
         t0 = time.perf_counter()
-        scheme = converter.initial_scheme(
-            tokens, self.ci_chain_token_limit, spec=self.spec
-        )
+        scheme = self._initial_scheme(converter, tokens)
         overhead.analytical_model_s += time.perf_counter() - t0
 
         seg_best: dict[tuple[int, int], tuple[float, Mapping[str, Any]]] = {}
@@ -293,6 +324,11 @@ class TwoStageEngine:
             # setting (e.g. every candidate failed to compile): fall back to
             # fully detached execution before giving up.
             fallback = tuple(1 for _ in range(chain.n_ops))
+            if converter.scheme_templates(fallback) is None:
+                raise GraphError(
+                    f"chain starting at {chain.node_names[0]!r} has an "
+                    "untemplatable single operator"
+                )
             if fallback != scheme:
                 scheme = fallback
                 current = eval_scheme(scheme)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
@@ -119,6 +119,17 @@ class TestCausal:
 
     def test_first_row_only_self(self):
         assert causal_mask(8)[0].sum() == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq_len=st.integers(min_value=1, max_value=2048))
+    @example(seq_len=1)
+    @example(seq_len=2048)
+    def test_matches_index_formula(self, seq_len):
+        m = causal_mask(seq_len)
+        idx = np.arange(seq_len)
+        assert m.dtype == bool and m.shape == (seq_len, seq_len)
+        assert m.flags.c_contiguous and m.flags.writeable
+        assert np.array_equal(m, idx[None, :] <= idx[:, None])
 
 
 class TestRegistry:

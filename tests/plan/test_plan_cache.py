@@ -8,7 +8,15 @@ import math
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.plan import CompiledPlan, PlanCache, PlanKey
+from repro.obs import MetricsRegistry, use_metrics
+from repro.plan import (
+    BucketGuard,
+    CompiledPlan,
+    GuardSet,
+    PlanCache,
+    PlanKey,
+    SymbolicPlanKey,
+)
 
 
 def _key(i: int, kind: str = "test") -> PlanKey:
@@ -189,6 +197,32 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="plans.json"):
             cache.load(path)
         assert len(cache) == 0
+
+    def test_warm_start_counts_no_splits(self, tmp_path):
+        """Loaded families register without a split event, in ``stats()``
+        or in the ``plan_cache.splits`` metric; a split made after the
+        load counts once in both."""
+        base = _key(0, "serving-decode")
+
+        def bucket(index: int) -> SymbolicPlanKey:
+            return SymbolicPlanKey(base, ("pos",), GuardSet([BucketGuard("pos", 64, index)]))
+
+        cold = PlanCache(max_entries=None)
+        for index in range(3):
+            cold.put(bucket(index), index)
+        path = tmp_path / "plans.json"
+        cold.save(path)
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            warm = PlanCache(max_entries=None)
+            assert warm.load(path) == 3
+            metric = registry.counter("plan_cache.splits", kind="serving-decode")
+            assert warm.stats()["symbolic"]["splits"] == 0
+            assert metric.value == 0
+            warm.put(bucket(3), 3)
+        assert warm.stats()["symbolic"]["splits"] == 1
+        assert metric.value == 1
 
     def test_save_file_is_deterministic(self, tmp_path):
         def build() -> PlanCache:
