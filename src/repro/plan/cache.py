@@ -17,8 +17,9 @@ whose probe no family admits keys a new sibling for the probe's region
 and stores it with ``put``; the cache counts that insertion as a split.
 
 A kind registered with ``index_salts`` is also kept per salt, in the
-cache's recency order, so a site that reads all of one salt's entries
-(the tuner's ``best_for``) scans that salt, not the whole cache.
+order its keys joined the index (a hit moves none), so a site that reads
+all of one salt's entries (the tuner's ``best_for``) scans that salt,
+not the whole cache.
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ class PlanCache:
         self._kind_guard_checks: dict[str, int] = {}
         self._kind_splits: dict[str, int] = {}
         # Salt index of the kinds passed to ``index_salts``: kind -> salt ->
-        # {key: value} in the order of ``_entries``.  Structural, like
-        # ``_families``; empty (one falsy test per call) for every other
-        # cache.
-        self._salts: dict[str, dict[str, OrderedDict[PlanKey, Any]]] = {}
+        # {key: value} in insertion order.  Structural, like ``_families``;
+        # empty (one falsy test per put) for every other cache.
+        self._salts: dict[str, dict[str, dict[PlanKey, Any]]] = {}
 
     # ----------------------------------------------------------------- core
 
@@ -82,10 +82,6 @@ class PlanCache:
             self.hits += 1
             self._kind_hits[key.kind] = self._kind_hits.get(key.kind, 0) + 1
             self._entries.move_to_end(key)
-            if self._salts:
-                salts = self._salts.get(key.kind)
-                if salts is not None:
-                    salts[key.salt].move_to_end(key)
             m = current_metrics()
             if m.enabled:
                 m.counter("plan_cache.lookups", kind=key.kind, outcome="hit").inc()
@@ -136,14 +132,10 @@ class PlanCache:
         return split
 
     def _index(self, key: PlanKey, value: Any) -> None:
-        """Mirror a put into the salt index (most recent last)."""
+        """Mirror a put into the salt index (a new key goes last)."""
         salts = self._salts.get(key.kind)
         if salts is not None:
-            entries = salts.get(key.salt)
-            if entries is None:
-                entries = salts[key.salt] = OrderedDict()
-            entries[key] = value
-            entries.move_to_end(key)
+            salts.setdefault(key.salt, {})[key] = value
 
     def _unindex(self, key: PlanKey) -> None:
         salts = self._salts.get(key.kind)
@@ -166,8 +158,8 @@ class PlanCache:
                 self._index(key, value)
 
     def salt_items(self, kind: str, salt: str) -> list[tuple[PlanKey, Any]]:
-        """``(key, value)`` of ``kind``'s entries under ``salt``, least
-        recently used first — the order of :meth:`items`.
+        """``(key, value)`` of ``kind``'s entries under ``salt``, in the
+        order they joined the index (a hit or a re-put moves none).
 
         ``kind`` must have been registered with :meth:`index_salts`.
         """

@@ -5,11 +5,14 @@ Ties the whole framework together (paper Fig. 5):
 * every captured attention site goes through the analytical kernel
   selector (:mod:`repro.mha.selector`) and runs the row-wise or block-wise
   kernel with its selected parameters;
-* every downstream chain is tuned by the two-stage search engine
+* every downstream chain is planned by the two-stage search engine
   (:mod:`repro.tuner.engine`) — rule-based init, fusion expansion,
   reward-based parameter sampling — all served from a shared performance
   cache.  The tuner's results are the chain plans, one ``ChainPlan`` per
   chain in ``extract_chains`` order; no other policy plans them first.
+  A repeat of a chain (``chain_key``) whose tuning took no cache miss
+  copies that plan while the cache takes none: tuning reads only the
+  chain and the cache's contents, so tuning it again would replay it.
 
 Ablation flags drive Fig. 13: ``use_mha_module=False`` falls back to the
 integrated FlashAttention2 kernel (what ``torch.compile`` provides);
@@ -25,7 +28,7 @@ import time
 import numpy as np
 
 from repro.core.rng import RngStream
-from repro.fusion.converter import extract_chains
+from repro.fusion.converter import FusionSchemeConverter, extract_chains
 from repro.gpu.specs import GPUSpec
 from repro.mha.baselines import FlashAttention2Attention
 from repro.mha.blockwise import BlockWiseKernel
@@ -35,13 +38,14 @@ from repro.mha.selector import KernelChoice, select_kernel
 from repro.models.build import ModelInstance
 from repro.runtime.capture import MHACapture
 from repro.runtime.executor import ChainPlan, MHABinding, PreparedModel
+from repro.obs.tracer import current_tracer
 from repro.runtime.frameworks import (
     COMPILED_DISPATCH_S,
     Engine,
     inductor_scheme,
 )
 from repro.tuner.cache import EvalCostModel, PerformanceCache
-from repro.tuner.engine import OverheadBreakdown, TwoStageEngine
+from repro.tuner.engine import OverheadBreakdown, TwoStageEngine, chain_key
 
 
 class STOFEngine(Engine):
@@ -147,15 +151,32 @@ class STOFEngine(Engine):
                 cache=PerformanceCache(self.cost_model),
             )
             graph, tokens = prepared.graph, prepared.instance.tokens
+            copies = {}  # chain_key -> (last miss-free tuned plan, misses after it)
             for chain in extract_chains(graph):
-                result = engine.tune_chain(graph, chain, tokens)
-                prepared.chains.append(ChainPlan(
-                    chain,
-                    result.scheme,
-                    [s.template for s in result.segments],
-                    [s.best_params for s in result.segments],
-                ))
-                overhead = overhead.merged(result.overhead)
+                t0 = time.perf_counter()
+                converter = FusionSchemeConverter(graph, chain)
+                key = chain_key(converter)
+                overhead.scheme_conversion_s += time.perf_counter() - t0
+                source, misses = copies.get(key, (None, None))
+                if misses == engine.cache.misses:
+                    # A copy measures nothing; binding its templates is conversion.
+                    first = source.chain.node_names[0]
+                    with current_tracer().span("tune.copy", cat="tuner", source=first):
+                        templates = converter.scheme_templates(source.scheme)
+                    plan = ChainPlan(chain, source.scheme, templates, [dict(p) for p in source.params])
+                    overhead.scheme_conversion_s += converter.stats.template_match_s
+                else:
+                    result = engine.tune_chain(graph, chain, tokens)
+                    plan = ChainPlan(
+                        chain,
+                        result.scheme,
+                        [s.template for s in result.segments],
+                        [s.best_params for s in result.segments],
+                    )
+                    overhead = overhead.merged(result.overhead)
+                    if result.cache_misses == 0:
+                        copies[key] = (plan, engine.cache.misses)
+                prepared.chains.append(plan)
             prepared.tuning_time_s = engine.total_tuning_time_s
         self.last_overhead = overhead
         prepared.extras["overhead"] = overhead

@@ -16,15 +16,15 @@ as the key's params), and adds what tuning needs on top: simulated
 tuning-cost accounting, cached launch failures, ``best_for`` and the v1
 JSON format of ``save`` / ``load``.  ``best_for`` reads the plan cache's
 per-salt index of tuner keys, so its cost follows one segment's settings,
-not the whole cache.  A caller that measures the same settings many
-times derives each :class:`Setting` (params plus key) once and prices it
-with :meth:`PerformanceCache.evaluate_key`.
+not the whole cache, and it breaks equal times by content.  A caller
+that measures the same settings many times derives each :class:`Setting`
+(params plus key) once and prices it with :meth:`PerformanceCache.evaluate_key`.
 
 The cache can be persisted to JSON (:meth:`PerformanceCache.save` /
 :meth:`PerformanceCache.load`) so a later session warm-starts from prior
 tuning — a natural extension of the paper's caching mechanism — and can
 be disabled entirely (``enabled=False``) to quantify its contribution
-(see ``benchmarks/bench_ablation_cache.py``).
+(see ``benchmarks/bench_ablation_cache_sparsity.py``).
 """
 
 from __future__ import annotations
@@ -187,17 +187,17 @@ class PerformanceCache:
         return t
 
     def best_for(self, segment_id: Hashable) -> tuple[float, tuple] | None:
-        """(best time, params key) over all cached settings of a segment.
+        """The smallest (time, params key) over a segment's cached settings.
 
-        Settings are taken in plan-cache order, as in :attr:`entries`; the
-        first of equal times wins.  Only the segment's own entries are read
-        (the plan cache's salt index).
+        Equal times go to the smaller params key: the answer depends on the
+        cache's contents, not on the order they were put or hit.  Only the
+        segment's own entries are read (the plan cache's salt index).
         """
         best: tuple[float, tuple] | None = None
         for key, t in self.plans.salt_items(TUNER_KIND, _segment_id(segment_id)):
             if t == float("inf"):
                 continue
-            if best is None or t < best[0]:
+            if best is None or (t, key.params) < best:
                 best = (t, key.params)
         return best
 

@@ -17,14 +17,14 @@ Per operator chain:
 Chains with identical operator/shape signatures share cache entries, so a
 24-layer model tunes each distinct segment once — this, plus the reward
 allocation, is where STOF's Table 4 advantage comes from.  The engine
-also derives each candidate list and each initial scheme once: a repeated
-chain reuses its rule-based scheme, replays its settings with their
-measurement keys, and measures through cache hits.
+also derives each candidate list once: a repeated chain replays its
+settings with their measurement keys and measures through cache hits.
+STOF (:mod:`repro.runtime.stof`) copies a repeat's plan instead when
+tuning it again could only replay an earlier tuning (:func:`chain_key`).
 
 Host-side bookkeeping time (hash encoding, template matching, reward
-algorithm, the analytical initialization — one derivation per distinct
-chain) is measured separately into :class:`OverheadBreakdown` — the
-Fig. 14 data.
+algorithm, the analytical initialization of every tuned chain) is
+measured separately into :class:`OverheadBreakdown` — the Fig. 14 data.
 """
 
 from __future__ import annotations
@@ -53,6 +53,20 @@ def segment_signature(template: CompilationTemplate) -> tuple:
     is the segment id of every tuner measurement and runtime plan key.
     """
     return template.segment.signature
+
+
+def chain_key(converter: FusionSchemeConverter) -> tuple:
+    """A chain by content, node names aside: the whole chain resolved as
+    one segment (each op's class, attributes, shapes and input sources,
+    and the outputs also read elsewhere).  No segment that tuning binds
+    reads anything beyond that."""
+    whole = converter.segment(0, converter.chain.n_ops)
+    ops = tuple(
+        (type(op), tuple(sorted((k, v) for k, v in vars(op).items() if k != "name")))
+        for op in whole.ops
+    )
+    sources = tuple(map(tuple, whole.sources))
+    return ops, whole.signature, tuple(whole.out_shapes), sources, tuple(whole.aux_write_indices)
 
 
 @dataclass
@@ -97,11 +111,11 @@ class TuningResult:
     scheme: tuple[int, ...]
     segments: list[SegmentState]
     estimated_time_s: float
-    tuning_time_s: float
+    tuning_time_s: float          # the cache's running total
     overhead: OverheadBreakdown
     schemes_tried: int
-    cache_hits: int
-    cache_misses: int
+    cache_hits: int               # this chain's own lookups;
+    cache_misses: int             # a failed launch is a miss
     history: list[tuple[str, tuple[int, ...], float]] = field(default_factory=list)
 
 
@@ -133,10 +147,9 @@ class TwoStageEngine:
         self.cache = cache or PerformanceCache(
             cost_model or EvalCostModel(), plans=plan_cache
         )
-        # Candidate lists and initial schemes by everything their
-        # derivation reads; they die with the engine.
+        # Candidate lists by everything their derivation reads; they die
+        # with the engine.
         self._settings: dict[tuple, list[Setting]] = {}
-        self._initial_schemes: dict[tuple, tuple[int, ...]] = {}
 
     # ----------------------------------------------------------- primitives
 
@@ -156,36 +169,6 @@ class TwoStageEngine:
             settings = [Setting(segment_id, params) for params in draw()]
             self._settings[memo_key] = settings
         return settings
-
-    def _initial_scheme(
-        self, converter: FusionSchemeConverter, tokens: int
-    ) -> tuple[int, ...]:
-        """The converter's rule-based scheme, derived once per distinct
-        chain: keyed on the whole chain resolved as one segment, node
-        names aside (each op's class, attributes, shapes and input
-        sources, and the outputs also read elsewhere).  No segment the
-        derivation binds reads anything beyond that."""
-        whole = converter.segment(0, converter.chain.n_ops)
-        memo_key = (
-            tuple(
-                (type(op), tuple(sorted(
-                    (k, v) for k, v in vars(op).items() if k != "name"
-                )))
-                for op in whole.ops
-            ),
-            whole.signature,
-            tuple(whole.out_shapes),
-            tuple(map(tuple, whole.sources)),
-            tuple(whole.aux_write_indices),
-            tokens, self.ci_chain_token_limit, self.spec,
-        )
-        scheme = self._initial_schemes.get(memo_key)
-        if scheme is None:
-            scheme = converter.initial_scheme(
-                tokens, self.ci_chain_token_limit, spec=self.spec
-            )
-            self._initial_schemes[memo_key] = scheme
-        return scheme
 
     def _stage1_settings(
         self,
@@ -283,6 +266,7 @@ class TwoStageEngine:
         converter = FusionSchemeConverter(graph, chain)
         overhead = OverheadBreakdown()
         history: list[tuple[str, tuple[int, ...], float]] = []
+        hits, misses = self.cache.hits, self.cache.misses
         # Content-keyed stream: identical chains tune identically, so the
         # shared cache collapses repeated layers to free hits.
         chain_sig = str(
@@ -295,7 +279,7 @@ class TwoStageEngine:
 
         # ---- initialization (analytical model) ------------------------------
         t0 = time.perf_counter()
-        scheme = self._initial_scheme(converter, tokens)
+        scheme = converter.initial_scheme(tokens, self.ci_chain_token_limit, spec=self.spec)
         overhead.analytical_model_s += time.perf_counter() - t0
 
         seg_best: dict[tuple[int, int], tuple[float, Mapping[str, Any]]] = {}
@@ -441,8 +425,8 @@ class TwoStageEngine:
             tuning_time_s=self.cache.tuning_time_s,
             overhead=overhead,
             schemes_tried=len(tried),
-            cache_hits=self.cache.hits,
-            cache_misses=self.cache.misses,
+            cache_hits=self.cache.hits - hits,
+            cache_misses=self.cache.misses - misses,
             history=history,
         )
 

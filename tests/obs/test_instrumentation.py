@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_model
+from repro.fusion.converter import extract_chains
 from repro.mha.blockwise import BlockWiseKernel
 from repro.mha.problem import AttentionProblem
 from repro.mha.rowwise import RowWiseKernel
@@ -79,6 +80,31 @@ class TestCompileSpans:
             names = [c.name for c in chain.children]
             assert "tune.stage1" in names and "tune.stage2" in names
             assert chain.args["schemes_tried"] >= 1
+
+    def test_chain_spans_carry_their_own_cache_counts(self):
+        """Each ``tune.chain`` span counts its chain's lookups, so the
+        spans add up to the tuner's evaluation counters; every chain is
+        either tuned or copied from a tuned one."""
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            compiled = compile_model(
+                "bert-small", 1, 128, mask="bigbird", seed=1, trace=tracer
+            )
+        evaluations = metrics.as_dict()["tuner.evaluations"]["series"]
+        tuned = tracer.find(name="tune.chain")
+        copied = tracer.find(name="tune.copy")
+        assert sum(s.args["cache_misses"] for s in tuned) == (
+            evaluations.get("outcome=miss", 0)
+            + evaluations.get("outcome=failure", 0)
+        )
+        assert sum(s.args["cache_hits"] for s in tuned) == evaluations.get(
+            "outcome=hit", 0
+        )
+        chains = extract_chains(compiled.prepared.graph)
+        assert len(tuned) + len(copied) == len(chains)
+        firsts = {chain.node_names[0] for chain in chains}
+        assert all(s.cat == "tuner" and s.args["source"] in firsts for s in copied)
 
     def test_global_tracer_untouched(self, traced_compile):
         assert current_tracer() is NULL_TRACER

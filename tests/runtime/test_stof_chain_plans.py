@@ -1,14 +1,15 @@
 """STOF's chain plans are the tuner's results, and each chain is planned once.
 
 With the fusion module on, ``Engine.prepare`` runs no inductor pre-plan:
-``STOFEngine`` builds every ``ChainPlan`` from ``tune_chain``'s result, in
-``extract_chains`` order, and the tuner derives each distinct chain's
-rule-based initial scheme once per engine.  The flow this replaced is kept
-here as the oracle: ``plan_chains`` under ``inductor_scheme`` (with its
-feasibility repair), then the tuned results written over every plan, and
-the initial scheme derived again for every chain.  Over the model zoo,
-both masks, two sizes, both devices and all four ablation variants, the
-two flows must give the same chain plans and the same report.
+``STOFEngine`` builds every ``ChainPlan`` from the tuner, in
+``extract_chains`` order.  A repeated chain copies the last miss-free
+tuning of an equal chain (``chain_key``) while the tuner cache has taken
+no miss since; every other chain is tuned.  The flow this replaced is
+kept here as the oracle: ``plan_chains`` under ``inductor_scheme`` (with
+its feasibility repair), then ``tune_graph``'s results, every chain tuned
+with the library's ``best_for``, written over every plan.  Over the model
+zoo, both masks, two sizes, both devices and all four ablation variants,
+the two flows must give the same chain plans and the same report.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.fusion.converter import FusionSchemeConverter, extract_chains
 from repro.graph.trace import GraphBuilder
 from repro.gpu.specs import A100, RTX4090
 from repro.models import MODEL_ZOO
+from repro.models.build import ModelInstance
 from repro.ops import Gelu, Gemm, Scale
 from repro.runtime.frameworks import inductor_scheme
 from repro.runtime.stof import STOFEngine
@@ -40,25 +42,16 @@ VARIANTS = [(True, True), (True, False), (False, True), (False, False)]
 # ------------------------------------------------------------------ oracle
 
 
-class PerChainInitEngine(TwoStageEngine):
-    """The tuner deriving the initial scheme again for every chain."""
-
-    def _initial_scheme(self, converter, tokens):
-        return converter.initial_scheme(
-            tokens, self.ci_chain_token_limit, spec=self.spec
-        )
-
-
 class PrePlannedSTOF(STOFEngine):
     """STOF pre-planning every chain with the inductor policy, then writing
-    the tuned results over the plans."""
+    the tuned results of every chain over the plans."""
 
     scheme_policy = staticmethod(inductor_scheme)
 
     def _post_prepare(self, prepared, spec):
         overhead = OverheadBreakdown(analytical_model_s=self._analysis_s)
         if self.use_fusion_module:
-            engine = PerChainInitEngine(
+            engine = TwoStageEngine(
                 spec,
                 rng=self.rng,
                 stage1_samples=self.stage1_samples,
@@ -188,6 +181,7 @@ def counters(monkeypatch):
         "initial_scheme": CallCounter(
             monkeypatch, FusionSchemeConverter, "initial_scheme"
         ),
+        "tune_chain": CallCounter(monkeypatch, TwoStageEngine, "tune_chain"),
     }
 
 
@@ -199,9 +193,11 @@ def test_fusion_on_plans_each_chain_once(counters, model, batch, seq):
     graph = compiled.prepared.graph
     chains = extract_chains(graph)
     distinct = {chain_content(graph, chain) for chain in chains}
+    tuned = counters["tune_chain"].calls
     assert counters["plan_chains"].calls == 0
     assert counters["first_feasible"].calls == 0
-    assert counters["initial_scheme"].calls == len(distinct) < len(chains)
+    assert len(distinct) <= tuned < len(chains)
+    assert counters["initial_scheme"].calls == tuned
     assert len(compiled.prepared.chains) == len(chains)
 
 
@@ -212,21 +208,31 @@ def test_fusion_off_keeps_the_inductor_pre_plan(counters):
     assert counters["initial_scheme"].calls == 0
 
 
-# ---------------------------------------------------------------- memo key
+# ---------------------------------------------------------------- copy key
 
 
-def two_gemm_graph(k: int, factor: float = 1.0):
-    """x(128, k) @ w1(k, 256) @ w2(256, 256), then a scale: every output
-    shape is independent of ``k`` and ``factor``."""
-    gb = GraphBuilder(f"gemm2-{k}", seed=3)
-    x = gb.input("x", (128, k))
-    w1 = gb.param("w1", (k, 256))
-    w2 = gb.param("w2", (256, 256))
-    h = gb.call(Gemm("a"), x, w1, name="a")
-    h = gb.call(Gemm("b"), h, w2, name="b")
-    h = gb.call(Scale(factor), h, name="s")
-    gb.output(h)
+def gemm_chains(*chains):
+    """One chain x(128, k) @ w1(k, 256) @ w2(256, 256), then a scale, per
+    ``(k, factor)``: every output shape is independent of both."""
+    gb = GraphBuilder("gemm-chains", seed=3)
+    for i, (k, factor) in enumerate(chains):
+        x = gb.input(f"x{i}", (128, k))
+        w1 = gb.param(f"w1.{i}", (k, 256))
+        w2 = gb.param(f"w2.{i}", (256, 256))
+        h = gb.call(Gemm(f"a{i}"), x, w1, name=f"a{i}")
+        h = gb.call(Gemm(f"b{i}"), h, w2, name=f"b{i}")
+        h = gb.call(Scale(factor), h, name=f"s{i}")
+        gb.output(h)
     return gb.finish()
+
+
+def prepare_graph(engine_cls, graph):
+    """``engine_cls``'s prepared model of a bare graph at 128 tokens."""
+    inst = ModelInstance(
+        config=None, batch=1, seq_len=128, graph=graph,
+        ids_inputs=[], mask_inputs={},
+    )
+    return engine_cls(rng=RngStream(7)).prepare(inst, A100, {})
 
 
 def rng_chain_sig(graph, chain) -> str:
@@ -239,31 +245,41 @@ def rng_chain_sig(graph, chain) -> str:
     )
 
 
-def fresh_initial_scheme(engine, graph, chain, tokens):
-    return FusionSchemeConverter(graph, chain).initial_scheme(
-        tokens, engine.ci_chain_token_limit, spec=engine.spec
+def test_equal_rng_signatures_with_other_inner_dims_get_their_own_scheme(counters):
+    """A repeat of a miss-free tuning is copied only by content: a chain
+    with the same ``chain_sig`` but first-GEMM inner dim 1024 instead of
+    512 is tuned from its own initial scheme."""
+    graph = gemm_chains((512, 1.0), (512, 1.0), (1024, 1.0))
+    chains = extract_chains(graph)
+    assert rng_chain_sig(graph, chains[0]) == rng_chain_sig(graph, chains[2])
+    first, other = (
+        FusionSchemeConverter(graph, chains[i]).initial_scheme(128, spec=A100)
+        for i in (0, 2)
     )
-
-
-def test_equal_rng_signatures_with_other_inner_dims_get_their_own_scheme():
-    engine = TwoStageEngine(A100, rng=RngStream(7))
-    graphs = [two_gemm_graph(512), two_gemm_graph(1024)]
-    chains = [extract_chains(g)[0] for g in graphs]
-    assert rng_chain_sig(graphs[0], chains[0]) == rng_chain_sig(graphs[1], chains[1])
-    want = [fresh_initial_scheme(engine, g, c, 128) for g, c in zip(graphs, chains)]
     # The GEMM chain's gain gate flips with the first GEMM's inner dim.
-    assert want[0] != want[1]
-    for graph, chain, scheme in zip(graphs, chains, want):
-        result = engine.tune_chain(graph, chain, tokens=128)
-        assert result.history[0][:2] == ("init", scheme)
+    assert first != other
+    got = prepare_graph(STOFEngine, graph)
+    assert counters["tune_chain"].calls == 3
+    assert chain_plans(got) == chain_plans(prepare_graph(PrePlannedSTOF, graph))
 
 
 def test_an_op_attribute_keys_its_own_derivation(counters):
-    engine = TwoStageEngine(A100, rng=RngStream(7))
-    for factor in (1.0, 0.5, 0.5):
-        graph = two_gemm_graph(512, factor)
-        engine.tune_chain(graph, extract_chains(graph)[0], tokens=128)
-    assert counters["initial_scheme"].calls == 2
+    """A repeat differing only in a ``Scale`` factor is tuned, though its
+    predecessor tuned without a miss; an exact repeat is copied."""
+    for factor, tuned in ((1.0, 2), (0.5, 3)):
+        counters["tune_chain"].calls = 0
+        prepare_graph(STOFEngine, gemm_chains((512, 1.0), (512, 1.0), (512, factor)))
+        assert counters["tune_chain"].calls == tuned, factor
+
+
+def test_a_repeat_after_another_chains_miss_is_tuned_again(counters):
+    """A, A, B, A, A: the first A and B take cache misses, so the third A
+    is tuned again rather than copied from the second; the fourth, with
+    no miss since the third, is copied.  Every plan equals the oracle's."""
+    graph = gemm_chains(*[(512, 1.0)] * 2, (1024, 1.0), *[(512, 1.0)] * 2)
+    got = prepare_graph(STOFEngine, graph)
+    assert counters["tune_chain"].calls == 4
+    assert chain_plans(got) == chain_plans(prepare_graph(PrePlannedSTOF, graph))
 
 
 # ----------------------------------------------------------- error contract

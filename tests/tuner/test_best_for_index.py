@@ -6,7 +6,8 @@ failures), direct ``get``/``put`` of tuner keys,
 other kinds' entries, ``PerformanceCache.load``, ``PlanCache.save`` and
 ``load`` round trips, ``clear`` and LRU eviction — must leave
 ``best_for`` equal to the walk over ``entries`` for every segment after
-every step.
+every step.  And equal times break by content: the same measurements,
+made in any order with any hits between, give the same ``best_for``.
 """
 
 import tempfile
@@ -37,19 +38,24 @@ op = st.one_of(
 )
 
 
+def measured(t):
+    """The measurement of a setting that takes ``t`` (None: it fails)."""
+
+    def measure():
+        if t is None:
+            raise ValueError("launch failed")
+        return t
+
+    return measure
+
+
 def apply(op, perf: PerformanceCache, tmp: Path) -> PerformanceCache:
     """Run one operation; returns the cache to query next."""
     name, *args = op
     plans = perf.plans
     if name == "evaluate":
         seg, a, t = args
-
-        def measure():
-            if t is None:
-                raise ValueError("launch failed")
-            return t
-
-        perf.evaluate(seg, {"a": a}, measure)
+        perf.evaluate(seg, {"a": a}, measured(t))
     elif name == "put":
         seg, a, t = args
         plans.put(measurement_key(seg, {"a": a}), float("inf") if t is None else t)
@@ -84,3 +90,24 @@ def test_best_for_equals_the_entries_walk_after_every_step(max_entries, ops):
             perf = apply(o, perf, Path(tmp))
             for seg in SEGMENTS:
                 assert perf.best_for(seg) == oracle_best_for(perf, seg), o
+
+
+measurement = st.tuples(segment, setting, time)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    made=st.lists(measurement, max_size=12, unique_by=lambda m: m[:2]),
+    data=st.data(),
+)
+def test_best_for_reads_contents_not_order(made, data):
+    """Two caches measure the same settings, each in its own order and
+    with its own repeats (hits, which refresh recency)."""
+    answers = []
+    for _ in range(2):
+        repeats = data.draw(st.lists(st.sampled_from(made), max_size=12)) if made else []
+        perf = PerformanceCache()
+        for seg, a, t in data.draw(st.permutations(made + repeats)):
+            perf.evaluate(seg, {"a": a}, measured(t))
+        answers.append([perf.best_for(seg) for seg in SEGMENTS])
+    assert answers[0] == answers[1]

@@ -28,12 +28,13 @@ def oracle_signature(template) -> tuple:
 
 
 def oracle_best_for(cache: PerformanceCache, segment_id):
+    """The smallest (time, params key) of a segment in the entries walk."""
     norm = segment_id if isinstance(segment_id, str) else repr(segment_id)
     best = None
     for (sid, pkey), t in cache.entries.items():
         if sid != norm or t == float("inf"):
             continue
-        if best is None or t < best[0]:
+        if best is None or (t, pkey) < best:
             best = (t, pkey)
     return best
 
