@@ -19,9 +19,12 @@ This module adds that regime on top of continuous batching:
   lower-priority work holds the pages it needs, those victims are
   recompute-preempted (the engine's existing mechanism) to let it in.
   Victims are chosen lowest-priority-first, latest-arrival-first, and
-  only when the eviction actually reclaims enough pages to admit the
-  waiter — otherwise nothing is evicted (no thrashing under hopeless
-  pressure).
+  only when their leaving lets admission take the waiter that same
+  step: a free batch slot, the waiter's context within
+  ``max_batch_tokens`` beside the remaining residents', and free pages
+  for that context plus one page of decode headroom per remaining
+  resident (never fewer than its context and next token plus one page).
+  Otherwise nothing is evicted (no thrashing under hopeless pressure).
 
 Attainment shows up per tenant in
 :class:`~repro.serving.metrics.TenantReport`.
@@ -136,10 +139,10 @@ class SLOScheduler(ContinuousBatchScheduler):
         burn = self.slo_policy.deadline_headroom * target.ttft_target_s
         if now_s - head.request.arrival_s < burn:
             return []      # still inside the queueing budget
-        # A page of decode headroom on top of the waiter's context, the
-        # same margin ContinuousBatchScheduler.admit keeps.
-        need = cache.config.pages_for(head.context_len + 1) + 1
-        if cache.free_pages >= need and len(running) < self.max_batch_size:
+        # A page of decode headroom on top of the waiter's context.
+        ctx = head.context_len
+        floor = cache.config.pages_for(ctx + 1) + 1
+        if cache.free_pages >= floor and len(running) < self.max_batch_size:
             return []      # already admissible; plain admission handles it
         evictable = sorted(
             (
@@ -155,14 +158,28 @@ class SLOScheduler(ContinuousBatchScheduler):
         )
         victims: list[RequestTracker] = []
         freed = cache.free_pages
-        slots = self.max_batch_size - len(running)
+        residents = len(running)
+        tokens = sum(tr.context_len for tr in running)
+
+        def admits() -> bool:
+            # ContinuousBatchScheduler.admit's terms once the victims
+            # leave: a slot, the token budget, and the head's pages plus
+            # one free page per remaining resident.
+            need = cache.config.pages_for(ctx) + residents + 1 if residents else 0
+            return (
+                residents < self.max_batch_size
+                and tokens + ctx <= self.max_batch_tokens
+                and freed >= max(floor, need)
+            )
+
         for tr in evictable:
-            if freed >= need and slots >= 1:
+            if admits():
                 break
             victims.append(tr)
             freed += cache.reclaimable_pages_of(tr.req_id)
-            slots += 1
-        if freed < need or slots < 1:
+            residents -= 1
+            tokens -= tr.context_len
+        if not admits():
             return []      # eviction would not admit the waiter: don't thrash
         return victims
 
