@@ -311,18 +311,16 @@ class ShardedServingEngine:
         first = order[0].arrival_s
         last_finish = first
         reports: list[ServingReport] = []
-        comm = p2p = bubble = core = 0.0
+        totals = [0.0] * 4    # comm, p2p, bubble and core seconds
         for engine, bucket in zip(self.replicas, buckets):
             if not bucket:    # fewer requests than replicas
                 continue
             rep = engine.run(bucket, rng=rng)
             reports.append(rep)
             last_finish = max(last_finish, bucket[0].arrival_s + rep.makespan_s)
-            comm += engine.comm_total_s
-            p2p += engine.p2p_total_s
-            bubble += engine.bubble_total_s
-            core += engine.core_total_s
+            totals = [t + x for t, x in zip(totals, engine.last_collectives)]
 
+        comm, p2p, bubble, core = totals
         # GPU-seconds: every rank of every replica the timeline holds
         # active, from first arrival to last finish (docs/fleet.md states
         # what this leaves unbilled).

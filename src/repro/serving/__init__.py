@@ -14,11 +14,11 @@ manager bounded by the device spec, and fleet latency/throughput metrics.
 * :mod:`repro.serving.slo`       — per-tenant SLO targets and scheduling.
 * :mod:`repro.serving.spec_decode` — draft-propose / target-verify steps.
 * :mod:`repro.serving.lora`      — multi-LoRA pricing and residency.
-* :mod:`repro.serving.engine`    — the discrete-event simulation loop.
+* :mod:`repro.serving.engine`    — the step pricing and the steppable run.
 * :mod:`repro.serving.metrics`   — TTFT / ITL / tokens-per-second reports.
 """
 
-from repro.serving.engine import ServingConfig, ServingEngine, simulate_serving
+from repro.serving.engine import ReplicaRun, ServingConfig, ServingEngine, simulate_serving
 from repro.serving.kvcache import KVCacheConfig, PagedKVCache
 from repro.serving.lora import AdapterRegistry, LoRAConfig
 from repro.serving.metrics import (
@@ -68,6 +68,7 @@ __all__ = [
     "PagedKVCache",
     "percentile",
     "PoissonArrivals",
+    "ReplicaRun",
     "Request",
     "RequestMetrics",
     "RequestState",

@@ -41,6 +41,15 @@ one of two pricing modes:
 With one rank and one stage both modes price a step exactly as the
 single-GPU engine does, bit for bit.
 
+:class:`ServingEngine` prices steps and holds what its runs share: the
+replica's constants and the plan cache.  :meth:`ServingEngine.start`
+opens a :class:`ReplicaRun`, which owns one run's clock, queues, KV
+cache, LoRA residency, counters and collective totals: ``submit`` each
+arrival once ``next_event_s`` reaches it, ``step`` otherwise, then
+``report`` — :meth:`ServingEngine.run` is that loop over a trace.  A
+step runs named phases: deadline eviction, admission, prefill,
+reserve/preempt, decode, LoRA, composition, credit and release.
+
 Everything is a pure function of (trace, scheduler, config, seed): two
 runs produce bit-identical reports.
 """
@@ -48,7 +57,8 @@ runs produce bit-identical reports.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
@@ -155,7 +165,8 @@ class ServingEngine:
     keys carry no shard fingerprint); ``fleet`` supplies the
     collective-pricing knobs (``overlap``, ``micro_batches``,
     ``contention``); ``lane_base`` and ``label`` place the replica's
-    lanes on a fleet's trace.
+    lanes on a fleet's trace.  It prices steps; :meth:`start` opens a
+    :class:`ReplicaRun` that holds one run's state.
     """
 
     def __init__(
@@ -224,61 +235,26 @@ class ServingEngine:
             spec, cache=self.plan_cache if self.config.use_plan_cache else None
         )
         self._decode_kernel = RowWiseKernel()
-        #: The current step's serialized collective seconds and activation
-        #: rows (reset at each step's start), and its step-level
-        #: (compute, comm, p2p, core) seconds for the rank lanes.
-        self._step_comm_s = 0.0
-        self._step_tokens = 0
-        self._last_parts: tuple[float, float, float, float] | None = None
-        #: Totals over the last/current run (simulated seconds).
-        self.comm_total_s = 0.0
-        self.p2p_total_s = 0.0
-        self.bubble_total_s = 0.0
-        self.core_total_s = 0.0
-        #: The run's KV cache (set by ``run``); ``_prefill_time`` consults
-        #: it for shared-prefix positions it may skip recomputing.
-        self._cache: PagedKVCache | None = None
-        #: Adapter pricing + residency when multi-LoRA serving is on.
-        self._lora = (
-            AdapterRegistry(
-                spec,
-                self.config.lora,
-                hidden=self.config.heads * self.config.head_size,
-                n_layers=self.config.n_layers,
-            )
-            if self.config.lora is not None
-            else None
-        )
-        # Per-run workload counters (reset by ``run``).
-        self._spec_proposed = 0
-        self._spec_accepted = 0
-        self._prefill_chunks = 0
 
     # ----------------------------------------------------------- step pricing
 
-    def _prefill_time(
-        self, tr: RequestTracker, rng: RngStream
+    def _prefill_price(
+        self, tr: RequestTracker, cached: int, rng: RngStream
     ) -> tuple[float, int, int]:
         """Simulated seconds, launch count and computed rows of
-        (re)computing the context.
+        (re)computing the context, collectives aside.
 
-        When the request attached to a shared prefix whose pages another
-        holder already materialized, only the *suffix* rows past the
-        cached positions are computed — rectangular rows over the full
-        context, priced through the same row-wise machinery as decode —
-        and only their activations are all-reduced.  With nothing cached
-        this is the historical square-prefill path, bit for bit.
+        When the request attached to a shared prefix whose first
+        ``cached`` positions another holder already materialized, only
+        the *suffix* rows past them are computed — rectangular rows over
+        the full context, priced through the same row-wise machinery as
+        decode.  With nothing cached this is the historical
+        square-prefill path, bit for bit.
         """
         ctx = tr.context_len
-        cached = (
-            self._cache.cached_prefix_tokens(tr.req_id)
-            if self._cache is not None
-            else 0
-        )
         if cached >= ctx:
             return 0.0, 0, 0
         if cached <= 0:
-            rows = ctx
             seconds, launches = self._price_problem(
                 AttentionProblem(
                     batch=1,
@@ -289,18 +265,17 @@ class ServingEngine:
                     pattern="custom",
                 )
             )
-        else:
-            suffix = tr.full_mask(rng)[cached:ctx, :ctx]
-            rows = ctx - cached
-            rises = row_rises(suffix)
-            seconds, launches = self._price_rows(
-                rows,
-                ctx,
-                int(suffix.sum()),
-                int((rises > 0).sum()),
-                int((rises == 1).sum()),
-            )
-        return seconds + self._collective_s(rows), launches, rows
+            return seconds, launches, ctx
+        suffix = tr.full_mask(rng)[cached:ctx, :ctx]
+        rises = row_rises(suffix)
+        seconds, launches = self._price_rows(
+            ctx - cached,
+            ctx,
+            int(suffix.sum()),
+            int((rises > 0).sum()),
+            int((rises == 1).sum()),
+        )
+        return seconds, launches, ctx - cached
 
     def _price_problem(self, problem: AttentionProblem) -> tuple[float, int]:
         """(seconds, launches) of one attention problem planned through
@@ -372,7 +347,7 @@ class ServingEngine:
             return nnz[offset], rises[offset]
         fam = tr._plan_keys.get(bucket)
         if fam is None:
-            fam = self._bucket_family(self._plan_base(tr, rng), pos, width)
+            fam = self._bucket_family(self._decode_base(tr, rng), pos, width)
             tr._plan_keys[bucket] = fam
         nnz, rises = self.plan_cache.get_or_build(
             fam,
@@ -399,15 +374,9 @@ class ServingEngine:
             )
         return fam
 
-    def _plan_base(self, tr: RequestTracker, rng: RngStream) -> PlanKey:
-        """:meth:`_decode_base` of the request, derived once per request."""
-        base = tr._plan_base
-        if base is None:
-            base = tr._plan_base = self._decode_base(tr, rng)
-        return base
-
     def _decode_base(self, tr: RequestTracker, rng: RngStream) -> PlanKey:
-        """The concrete part of a request's decode family keys.
+        """The concrete part of a request's decode family keys, derived once
+        per request (memoized on its tracker).
 
         Default: the request's full-mask fingerprint — families are
         per-mask, exactly as sharp as the old per-bucket concrete keys.
@@ -419,6 +388,8 @@ class ServingEngine:
         mask's build size.  Requests that don't qualify (random patterns,
         size-derived widths) keep fingerprint keying.
         """
+        if tr._plan_base is not None:
+            return tr._plan_base
         width = self.config.plan_bucket_tokens
         pinned = (
             tr.pinned_pattern_params() if self.config.symbolic_plan_keys else None
@@ -433,17 +404,16 @@ class ServingEngine:
         # adapter GEMM, so the adapter id joins the family salt; the
         # base-model ("" adapter) salt stays byte-identical to before.
         adapter = ""
-        if self._lora is not None:
-            adapter = adapter_fingerprint(
-                tr.request.adapter, self._lora.config.rank
-            )
-        return PlanKey(
+        if self.config.lora is not None:
+            adapter = adapter_fingerprint(tr.request.adapter, self.config.lora.rank)
+        tr._plan_base = PlanKey(
             kind="serving-decode",
             pattern=pattern,
             mask=mask_id,
             salt=f"rows:w={width}{adapter}",
             shard=self.shard_fingerprint,
         )
+        return tr._plan_base
 
     def _decode_bucket_stats(
         self, tr: RequestTracker, bucket: int, rng: RngStream, shared: bool = False
@@ -501,6 +471,514 @@ class ServingEngine:
                     single += 1
         return self._price_rows(len(members), total_kv, nnz, nonempty, single)
 
+    def _chunk_time(
+        self, tr: RequestTracker, a: int, b: int, rng: RngStream
+    ) -> tuple[float, int]:
+        """(seconds, launches) of prefill chunk rows ``[a, b)`` over KV
+        ``[0, b)``, compute alone.
+
+        A chunk is a rectangular *tiled* problem through the same kernel
+        selection as whole prefills (the rows are dense and contiguous,
+        so pricing them through the gathered decode path would overcharge
+        them ~10x).  Full-width chunk plans are memoized under guarded
+        plan families keyed like decode's (:meth:`_decode_base` identity,
+        a ``pos // chunk == bucket`` :class:`~repro.plan.BucketGuard`,
+        plus the start's in-bucket offset), so a chunk planned for one
+        request replays for every other request with the same mask
+        identity — under ``symbolic_plan_keys``, for *any* same-pattern
+        request regardless of length, exactly the decode-family sharing
+        contract.  For those cache-shared (``sym:``) families the slice
+        content is a pure function of positions (that is what pinned
+        params guarantee), so the value is independent of which request
+        builds it first.
+        """
+        width = self.config.chunk_prefill_tokens
+
+        def price() -> tuple[float, int]:
+            return self._price_problem(
+                AttentionProblem(
+                    batch=1,
+                    heads=self.config.heads,
+                    seq_len=b - a,
+                    head_size=self.config.head_size,
+                    mask=tr.full_mask(rng)[a:b, :b],
+                    pattern="custom",
+                    kv_seq_len=b,
+                )
+            )
+
+        if not self.config.use_plan_cache or b - a != width:
+            return price()
+        base = self._decode_base(tr, rng)
+        # (bucket, in-bucket offset) uniquely name the start position, and
+        # full width pins the extent, so the cached price is a pure
+        # function of the family key.
+        chunk_base = PlanKey(
+            kind="serving-chunk",
+            pattern=base.pattern,
+            mask=base.mask,
+            salt=f"chunk:w={width}:o={a % width}",
+            shard=self.shard_fingerprint,
+        )
+        return self.plan_cache.get_or_build(
+            self._bucket_family(chunk_base, a, width), price
+        )
+
+    # ------------------------------------------------------------- simulation
+
+    def start(self, rng: RngStream | None = None) -> ReplicaRun:
+        """Open an empty run on this engine (see :class:`ReplicaRun`)."""
+        return ReplicaRun(self, rng or RngStream())
+
+    def run(self, trace: list[Request], rng: RngStream | None = None) -> ServingReport:
+        """Simulate the full trace to completion and report fleet metrics:
+        submit each arrival once the run's clock reaches it, step until
+        drained, report."""
+        if not trace:
+            raise ConfigError("empty request trace")
+        run = self.start(rng)
+        pending = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))[::-1]
+        while pending or run.next_event_s() is not None:
+            clock = run.next_event_s()
+            if pending and (clock is None or pending[-1].arrival_s <= clock):
+                run.submit(pending.pop())
+            else:
+                run.step()
+        #: (comm, p2p, bubble, core) simulated seconds of the last run,
+        #: which a fleet's merge reads beside its report.
+        self.last_collectives = (
+            run.comm_total_s, run.p2p_total_s, run.bubble_total_s, run.core_total_s
+        )
+        return run.report()
+
+
+def _adapter_rows(pairs: Iterable[tuple[RequestTracker, int]]) -> dict[str, int]:
+    """Rows per LoRA adapter over ``(tracker, rows)`` pairs."""
+    rows: dict[str, int] = {}
+    for tr, n in pairs:
+        if tr.request.adapter:
+            rows[tr.request.adapter] = rows.get(tr.request.adapter, 0) + n
+    return rows
+
+
+@dataclass(slots=True)
+class _Step:
+    """One engine step's work, filled in phase by phase."""
+
+    admitted: list[RequestTracker]
+    #: Trackers whose prefill finishes this step (they earn their first
+    #: token at step end).  Without chunking this is exactly ``admitted``.
+    completed: list[RequestTracker] = field(default_factory=list)
+    #: ``(tracker, rows)`` of every prefill or chunk computed this step.
+    prefills: list[tuple[RequestTracker, int]] = field(default_factory=list)
+    #: ``(tracker, tokens emitted, rows verified)`` per decode member.
+    emits: list[tuple[RequestTracker, int, int]] = field(default_factory=list)
+    prefill_s: float = 0.0
+    prefill_comm_s: float = 0.0
+    decode_s: float = 0.0
+    lora_swap_s: float = 0.0
+    launches: int = 0
+    #: Serialized collective seconds and activation rows so far.
+    comm_s: float = 0.0
+    tokens: int = 0
+    #: Step-level (compute, comm, p2p, core) seconds for the rank lanes.
+    parts: tuple[float, float, float, float] | None = None
+
+
+class ReplicaRun:
+    """One run of a :class:`ServingEngine`, advanced a step at a time.
+
+    Runs of one engine share nothing but its plan cache.  Drive one as
+    :meth:`ServingEngine.run` does: :meth:`submit` each arrival once
+    :meth:`next_event_s` reaches it (or is ``None``), :meth:`step`
+    otherwise, and :meth:`report` once drained.
+    """
+
+    def __init__(self, engine: ServingEngine, rng: RngStream):
+        cfg = engine.config
+        self.engine = engine
+        self.config = cfg
+        self.scheduler = engine.scheduler
+        self.mask_rng = rng.fork("serving-masks")
+        self.cache = PagedKVCache(
+            KVCacheConfig.for_spec(
+                engine.spec,
+                cfg.heads,
+                cfg.head_size,
+                cfg.n_layers,
+                page_tokens=cfg.kv_page_tokens,
+                capacity_frac=cfg.kv_capacity_frac,
+            )
+        )
+        #: Adapter pricing + residency when multi-LoRA serving is on.
+        self.lora = (
+            AdapterRegistry(
+                engine.spec,
+                cfg.lora,
+                hidden=cfg.heads * cfg.head_size,
+                n_layers=cfg.n_layers,
+            )
+            if cfg.lora is not None
+            else None
+        )
+        self.clock = 0.0
+        self.steps = 0
+        self.trackers: list[RequestTracker] = []    # every submitted request
+        self.waiting: list[RequestTracker] = []     # sorted by queue key
+        self.running: list[RequestTracker] = []
+        self.finished: list[RequestTracker] = []
+        self._keys: dict[RequestTracker, tuple] = {}    # computed once, at submit
+        self.spec_proposed = 0
+        self.spec_accepted = 0
+        self.prefill_chunks = 0
+        #: Collective totals of the run (simulated seconds).
+        self.comm_total_s = 0.0
+        self.p2p_total_s = 0.0
+        self.bubble_total_s = 0.0
+        self.core_total_s = 0.0
+        self.tracer = engine.tracer if engine.tracer is not None else current_tracer()
+        if self.tracer.enabled:
+            self.tracer.lane_names.setdefault(engine._lane_base, f"{engine._label}engine steps")
+            self.tracer.lane_names.setdefault(engine._lane_base + 1, f"{engine._label}requests")
+        self.metrics = current_metrics()
+        self._kv_gauge = (
+            self.metrics.gauge("serving.kv_occupancy") if self.metrics.enabled else None
+        )
+
+    # ----------------------------------------------------------------- API
+
+    def submit(self, request: Request) -> RequestTracker:
+        """Enqueue one arrival; an idle run's clock moves to it.
+
+        A request that can never be served — its worst-case context
+        exceeds an *empty* cache or the scheduler's token budget — is
+        rejected here and surfaced in the report, never keyed; the run
+        proceeds with the rest instead of crashing mid-run.  (Truly
+        unservable *configurations*, e.g. a cache smaller than one page,
+        still fail hard at construction, in KVCacheConfig.)
+        """
+        tr = RequestTracker(request)
+        self.trackers.append(tr)
+        if not (
+            self.cache.fits_alone(request.max_context)
+            and request.max_context <= self.scheduler.max_batch_tokens
+        ):
+            tr.state = RequestState.REJECTED
+            if self.metrics.enabled:
+                self.metrics.counter("serving.rejected").inc()
+            return tr
+        if request.prefix_id:
+            self.cache.register_prefix(
+                request.req_id, request.prefix_id, request.prefix_len
+            )
+        if self.next_event_s() is None:
+            self.clock = max(self.clock, request.arrival_s)
+        self._keys[tr] = self.scheduler.queue_key(tr)
+        insort(self.waiting, tr, key=self._keys.__getitem__)
+        return tr
+
+    def next_event_s(self) -> float | None:
+        """The clock of the next step; ``None`` when nothing waits or runs."""
+        return self.clock if self.waiting or self.running else None
+
+    def step(self) -> None:
+        """Run one engine step at the clock, then advance the clock by its
+        simulated seconds."""
+        self._evict_for_deadlines()
+        was_running = list(self.running)
+        self._step = step = _Step(self._admit())
+        if not was_running and not step.admitted:  # pragma: no cover - admission always progresses
+            raise ConfigError("serving deadlock: nothing runnable")
+        self._prefill()
+        step.prefill_comm_s = step.comm_s
+        self._decode(self._reserve(self.scheduler.decode_members(was_running)))
+        self._price_lora()
+        step_s = self._step_time() + step.lora_swap_s
+        self._record_step(step_s)
+        self.clock += step_s
+        self.steps += 1
+        self._credit_and_release()
+
+    def report(self) -> ServingReport:
+        """The run's :class:`ServingReport` (call once drained)."""
+        requests = [tr.request for tr in self.trackers]
+        first_arrival = min((r.arrival_s for r in requests), default=0.0)
+        finished = self.finished
+        last_finish = (
+            max(tr.finish_s or 0.0 for tr in finished)
+            if finished else first_arrival
+        )
+        completed_metrics = sorted(
+            (RequestMetrics.from_tracker(tr) for tr in finished),
+            key=lambda m: m.req_id,
+        )
+        lora = self.lora
+        return ServingReport(
+            policy=self.scheduler.name,
+            pattern="+".join(sorted({r.pattern for r in requests})),
+            device=self.engine.spec.name,
+            n_requests=len(requests),
+            completed=len(finished),
+            makespan_s=last_finish - first_arrival,
+            total_tokens=sum(tr.generated for tr in finished),
+            total_steps=self.steps,
+            preemptions=sum(tr.preemptions for tr in self.trackers),
+            kv_peak_occupancy=self.cache.peak_occupancy,
+            rejected_ids=tuple(
+                tr.req_id for tr in self.trackers if tr.state is RequestState.REJECTED
+            ),
+            requests=completed_metrics,
+            kv_peak_used_pages=self.cache.peak_used_pages,
+            kv_peak_logical_pages=self.cache.peak_logical_pages,
+            cow_forks=self.cache.cow_forks,
+            tenants=tenant_rows(requests, completed_metrics, self.scheduler),
+            plan_cache=(
+                self.engine.plan_cache.stats() if self.config.use_plan_cache else None
+            ),
+            spec_proposed=self.spec_proposed,
+            spec_accepted=self.spec_accepted,
+            prefill_chunks=self.prefill_chunks,
+            lora_swaps=lora.swaps if lora is not None else 0,
+            lora_peak_resident=lora.peak_resident if lora is not None else 0,
+        )
+
+    # ------------------------------------------------------------ the queues
+
+    def _credit_token(self, tr: RequestTracker) -> None:
+        clock = self.clock
+        tr.generated += 1
+        tr.token_times_s.append(clock)
+        if tr.ttft_s is None:
+            tr.ttft_s = clock
+        if not tr.done:
+            return
+        tr.finish_s = clock
+        tr.state = RequestState.FINISHED
+        # Nothing reads a finished request's mask again; drop its
+        # max_context^2 bytes now, not at the end of the run.
+        tr._full_mask = None
+        if tr in self.waiting:      # preempted in the same step it finished
+            self.waiting.remove(tr)
+        self.finished.append(tr)
+        if self.tracer.enabled:
+            arrival = tr.request.arrival_s
+            span = self.tracer.add_span(
+                f"request {tr.req_id}",
+                cat="serving.request",
+                t0=arrival,
+                dur=clock - arrival,
+                tid=self.engine._lane_base + 1,
+                req_id=tr.req_id,
+                prompt_len=tr.request.prompt_len,
+                tokens=tr.generated,
+                ttft_s=(tr.ttft_s or 0.0) - arrival,
+                preemptions=tr.preemptions,
+            )
+            for ts in tr.token_times_s:
+                span.event("token", ts)
+
+    def _preempt(self, tr: RequestTracker) -> None:
+        self.cache.release(tr.req_id)
+        self.running.remove(tr)
+        tr.state = RequestState.WAITING
+        tr.preemptions += 1
+        # Recompute-style preemption discards the KV, so an in-flight
+        # chunked prefill restarts from whatever re-admission finds
+        # cached, not from its old chunk watermark.
+        tr.prefilled = None
+        insort(self.waiting, tr, key=self._keys.__getitem__)
+
+    # ------------------------------------------------------------ step phases
+
+    def _evict_for_deadlines(self) -> None:
+        """Preempt-to-meet-deadline (SLO policies): evict lower-priority
+        residents *before* the step forms, so the at-risk waiter is
+        admitted this very step rather than after their drain."""
+        for victim in self.scheduler.deadline_victims(
+            self.waiting, self.running, self.cache, self.clock
+        ):
+            if victim in self.running:
+                self._preempt(victim)
+
+    def _admit(self) -> list[RequestTracker]:
+        admitted = self.scheduler.admit(self.waiting, self.running, self.cache)
+        for tr in admitted:
+            tr.state = RequestState.RUNNING
+            self.running.append(tr)
+        return admitted
+
+    def _prefill(self) -> None:
+        """Price the admitted requests' prefills, then advance in-flight
+        chunked prefills."""
+        step = self._step
+        chunk = self.config.chunk_prefill_tokens
+        for tr in step.admitted:
+            cached = self.cache.cached_prefix_tokens(tr.req_id)
+            if chunk <= 0 or tr.context_len - cached <= chunk:
+                # Whole remaining context fits one chunk: take the
+                # historical whole-prefill path, bit for bit.
+                t, n, rows = self.engine._prefill_price(tr, cached, self.mask_rng)
+                step.prefill_s += t + self._collective_s(rows)
+                step.launches += n
+                step.prefills.append((tr, rows))
+                step.completed.append(tr)
+            else:
+                tr.prefilled = cached
+        if chunk <= 0:
+            return
+        # Advance in-flight chunked prefills — including those admitted
+        # this very step — fused into the step alongside decode.
+        # ``chunk_prefill_tokens`` is a *per-step* prefill token budget
+        # shared FCFS across pending prefills (Sarathi-style): the step's
+        # total prefill work stays bounded by one chunk, so decode rows
+        # never stall behind a whole long prompt — or behind several
+        # chunks at once.
+        budget = chunk
+        fills = sorted(
+            (t for t in self.running if t.prefill_pending),
+            key=lambda t: (t.request.arrival_s, t.req_id),
+        )
+        for tr in fills:
+            if budget <= 0:
+                break
+            a = tr.prefilled
+            b = min(a + min(chunk, budget), tr.context_len)
+            t, n = self.engine._chunk_time(tr, a, b, self.mask_rng)
+            tr.prefilled = b if b < tr.context_len else None
+            self.prefill_chunks += 1
+            budget -= b - a
+            # Chunks all-reduce exactly their own activation rows.
+            step.prefill_s += t + self._collective_s(b - a)
+            step.launches += n
+            step.prefills.append((tr, b - a))
+            if tr.prefilled is None:
+                step.completed.append(tr)
+
+    def _reserve(
+        self, members: list[tuple[RequestTracker, int]]
+    ) -> list[tuple[RequestTracker, int]]:
+        """Grow each decode member's page run, preempting the
+        latest-arrived resident while the cache is full; returns the
+        members that still decode this step."""
+        if not self.scheduler.allows_preemption:
+            return members
+        spec = self.config.spec_decode
+        members.sort(key=lambda tp: (tp[0].request.arrival_s, tp[0].req_id))
+        survivors: list[tuple[RequestTracker, int]] = []
+        for tr, pos in members:
+            if tr not in self.running:   # evicted earlier in this pass
+                continue
+            need = tr.context_len + 1
+            if spec is not None:
+                # Speculative members may advance k+1 positions in one
+                # step; reserve that headroom (clamped to the budget the
+                # request can actually reach).
+                need = min(need + spec.draft_tokens, tr.request.max_context)
+            while not self.cache.reserve(tr.req_id, need):
+                evictable = [
+                    t
+                    for t in self.running
+                    if t is not tr and all(t is not s for s, _ in survivors)
+                ]
+                if not evictable:   # pragma: no cover - solo fit holds
+                    self._preempt(tr)
+                    break
+                self._preempt(
+                    max(evictable, key=lambda t: (t.request.arrival_s, t.req_id))
+                )
+            else:
+                survivors.append((tr, pos))
+        return survivors
+
+    def _decode(self, members: list[tuple[RequestTracker, int]]) -> None:
+        """Price the packed decode forward over ``members`` (one row each,
+        or a speculative propose+verify step)."""
+        step = self._step
+        if self.config.spec_decode is not None and members:
+            self._spec_decode(members)
+            return
+        t, n = self.engine._decode_time(members, self.mask_rng)
+        step.decode_s = t + self._collective_s(len(members))
+        step.launches += n
+        step.emits = [(tr, 1, 1) for tr, _pos in members]
+
+    def _spec_decode(self, members: list[tuple[RequestTracker, int]]) -> None:
+        """Price one propose+verify speculative step.
+
+        Each member emits its accepted drafts plus the target's bonus
+        token, from ``k_i + 1`` verified rows.  Proposals are capped so a
+        request can never overshoot its generation budget: ``k_i =
+        min(k, remaining - 1)`` keeps ``k_i + 1 <= remaining``.
+        """
+        spec = self.config.spec_decode
+        step = self._step
+        price = self.engine._decode_time
+        proposals = [
+            (tr, pos, min(spec.draft_tokens, tr.request.max_new_tokens - tr.generated - 1))
+            for tr, pos in members
+        ]
+        seconds = 0.0
+        # The draft autoregressively proposes depth-by-depth: one packed
+        # forward per depth over the members still proposing at it.
+        # Drafts are small enough that sharded deployments replicate them
+        # per rank (vLLM/TRT-LLM practice): they pay compute but never
+        # tensor-parallel collectives.
+        depth = max((k for _tr, _pos, k in proposals), default=0)
+        for j in range(depth):
+            t, n = price([(tr, pos + j) for tr, pos, k in proposals if j < k], self.mask_rng)
+            seconds += spec.draft_cost_ratio * t
+            step.launches += n
+        # The target verifies every proposal row plus its own bonus row in
+        # ONE packed var-len forward (k_i + 1 rows per member), and
+        # all-reduces that expanded row count.
+        expanded = [(tr, pos + j) for tr, pos, k in proposals for j in range(k + 1)]
+        t, n = price(expanded, self.mask_rng)
+        step.decode_s = seconds + (t + self._collective_s(len(expanded)))
+        step.launches += n
+        for tr, _pos, k in proposals:
+            accepted = spec.sample_accepted(tr.spec_rng(self.mask_rng), k)
+            self.spec_proposed += k
+            self.spec_accepted += accepted
+            step.emits.append((tr, accepted + 1, k + 1))
+
+    def _price_lora(self) -> None:
+        """Gathered adapter GEMMs ride each phase's forward (the fused-step
+        max applies); swap-ins serialize on PCIe."""
+        lora = self.lora
+        if lora is None:
+            return
+        step = self._step
+        prefill = _adapter_rows(step.prefills)
+        decode = _adapter_rows((tr, rows) for tr, _n, rows in step.emits)
+        if prefill:
+            t, n = lora.gemm_time(sum(prefill.values()), len(prefill))
+            step.prefill_s += t
+            step.launches += n
+        if decode:
+            t, n = lora.gemm_time(sum(decode.values()), len(decode))
+            step.decode_s += t
+            step.launches += n
+        touched = set(prefill) | set(decode)
+        if touched:
+            swaps_before = lora.swaps
+            step.lora_swap_s = lora.touch(touched)
+            if self.metrics.enabled and lora.swaps > swaps_before:
+                self.metrics.counter("serving.lora_swaps").inc(lora.swaps - swaps_before)
+
+    def _credit_and_release(self) -> None:
+        """Credit the step's tokens at the new clock, then free the pages
+        the policy releases."""
+        step = self._step
+        for tr in step.completed:
+            self._credit_token(tr)
+        for tr, n_tok, _rows in step.emits:
+            for _ in range(n_tok):
+                if not tr.done:
+                    self._credit_token(tr)
+        for tr in self.scheduler.releasable(self.running):
+            self.cache.release(tr.req_id)
+            self.running.remove(tr)
+
     # ----------------------------------------------------------- collectives
 
     def _collective_s(self, rows: int) -> float:
@@ -515,143 +993,23 @@ class ServingEngine:
         """
         if rows <= 0:
             return 0.0
-        self._step_tokens += rows
-        if self.shard.tp == 1:
+        step = self._step
+        step.tokens += rows
+        engine = self.engine
+        if engine.shard.tp == 1:
             return 0.0
-        t = 2 * self.config.n_layers * self._ic.all_reduce_time(
-            rows * self._hidden * FP16_BYTES
+        t = 2 * self.config.n_layers * engine._ic.all_reduce_time(
+            rows * engine._hidden * FP16_BYTES
         )
-        self._step_comm_s += t
-        if self._serial_calls:
+        step.comm_s += t
+        if engine._serial_calls:
             self.comm_total_s += t
         return t
 
-    # ------------------------------------------------- workload-specific pricing
-
-    def _chunk_prefill_time(
-        self, tr: RequestTracker, rng: RngStream, max_rows: int
-    ) -> tuple[float, int, int]:
-        """Price the request's next prefill chunk (at most ``max_rows``
-        rows); returns ``(seconds, launches, rows)`` and advances
-        ``tr.prefilled``.
-
-        A chunk covering positions ``[a, b)`` attends all of ``[0, b)`` —
-        a rectangular *tiled* problem through the same kernel selection as
-        whole prefills (the rows are dense and contiguous, so pricing them
-        through the gathered decode path would overcharge them ~10x).
-        Full-width chunk plans are memoized under guarded plan families
-        keyed like decode's (:meth:`_decode_base` identity, a
-        ``pos // chunk == bucket`` :class:`~repro.plan.BucketGuard`, plus
-        the start's in-bucket offset), so a chunk planned for one request
-        replays for every other request with the same mask identity —
-        under ``symbolic_plan_keys``, for *any* same-pattern request
-        regardless of length, exactly the decode-family sharing contract.
-        """
-        cfg = self.config
-        width = cfg.chunk_prefill_tokens
-        a = tr.prefilled
-        b = min(a + min(width, max_rows), tr.context_len)
-        if cfg.use_plan_cache and b - a == width:
-            base = self._plan_base(tr, rng)
-            # (bucket, in-bucket offset) uniquely name the start position,
-            # and full width pins the extent, so the cached price is a
-            # pure function of the family key.
-            chunk_base = PlanKey(
-                kind="serving-chunk",
-                pattern=base.pattern,
-                mask=base.mask,
-                salt=f"chunk:w={width}:o={a % width}",
-                shard=self.shard_fingerprint,
-            )
-            seconds, launches = self.plan_cache.get_or_build(
-                self._bucket_family(chunk_base, a, width),
-                lambda: self._price_chunk(tr, a, b, rng),
-            )
-        else:
-            seconds, launches = self._price_chunk(tr, a, b, rng)
-        tr.prefilled = b
-        self._prefill_chunks += 1
-        # Chunks all-reduce exactly their own activation rows.
-        return seconds + self._collective_s(b - a), launches, b - a
-
-    def _price_chunk(
-        self, tr: RequestTracker, a: int, b: int, rng: RngStream
-    ) -> tuple[float, int]:
-        """(seconds, launches) of chunk rows ``[a, b)`` over KV ``[0, b)``.
-
-        For cache-shared (``sym:``) families the slice content is a pure
-        function of positions (that is what pinned params guarantee), so
-        the value is independent of which request builds it first.
-        """
-        return self._price_problem(
-            AttentionProblem(
-                batch=1,
-                heads=self.config.heads,
-                seq_len=b - a,
-                head_size=self.config.head_size,
-                mask=tr.full_mask(rng)[a:b, :b],
-                pattern="custom",
-                kv_seq_len=b,
-            )
-        )
-
-    def _spec_decode_step(
-        self, members: list[tuple[RequestTracker, int]], rng: RngStream
-    ) -> tuple[float, int, list[tuple[RequestTracker, int]]]:
-        """Price one propose+verify speculative step.
-
-        Returns ``(seconds, launches, emits)`` where ``emits`` pairs each
-        member with its emitted token count (accepted drafts + the
-        target's bonus token).  Proposals are capped so a request can
-        never overshoot its generation budget: ``k_i = min(k,
-        remaining - 1)`` keeps ``k_i + 1 <= remaining``.
-        """
-        spec = self.config.spec_decode
-        proposals: list[tuple[RequestTracker, int, int]] = []
-        for tr, pos in members:
-            remaining = tr.request.max_new_tokens - tr.generated
-            proposals.append((tr, pos, min(spec.draft_tokens, remaining - 1)))
-        seconds = 0.0
-        launches = 0
-        # The draft autoregressively proposes depth-by-depth: one packed
-        # forward per depth over the members still proposing at it.
-        # Drafts are small enough that sharded deployments replicate them
-        # per rank (vLLM/TRT-LLM practice): they pay compute but never
-        # tensor-parallel collectives.
-        depth = max((k for _tr, _pos, k in proposals), default=0)
-        for j in range(depth):
-            mj = [(tr, pos + j) for tr, pos, k in proposals if j < k]
-            t, n = self._decode_time(mj, rng)
-            seconds += spec.draft_cost_ratio * t
-            launches += n
-        # The target verifies every proposal row plus its own bonus row in
-        # ONE packed var-len forward (k_i + 1 rows per member), and
-        # all-reduces that expanded row count.
-        expanded = [
-            (tr, pos + j) for tr, pos, k in proposals for j in range(k + 1)
-        ]
-        t, n = self._decode_time(expanded, rng)
-        seconds += t + self._collective_s(len(expanded))
-        launches += n
-        emits: list[tuple[RequestTracker, int]] = []
-        for tr, _pos, k in proposals:
-            accepted = spec.sample_accepted(tr.spec_rng(rng), k)
-            self._spec_proposed += k
-            self._spec_accepted += accepted
-            emits.append((tr, accepted + 1))
-        return seconds, launches, emits
-
     # -------------------------------------------------------- step composition
 
-    def _step_time(
-        self,
-        prefill_s: float,
-        prefill_comm_s: float,
-        decode_s: float,
-        decode_comm_s: float,
-        launches: int,
-    ) -> float:
-        """Compose one engine step's simulated seconds.
+    def _step_time(self) -> float:
+        """Compose the step's simulated seconds, LoRA swap-ins aside.
 
         A step that both admits and decodes models a piggybacked join
         (one fused forward over prefill tokens + decode rows): the
@@ -663,37 +1021,35 @@ class ServingEngine:
         the step's row count as bucketed, overlapped collectives inside
         a 1F1B window (see the module docstring).
         """
+        engine = self.engine
         cfg = self.config
-        compute = max(prefill_s - prefill_comm_s, decode_s - decode_comm_s)
-        if self._serial_calls:
-            return (
-                cfg.step_overhead_s
-                + compute
-                + self._step_comm_s
-                + cfg.dispatch_s * launches
-            )
-        pp, m = self.shard.pp, self.micro_batches
+        step = self._step
+        decode_comm_s = step.comm_s - step.prefill_comm_s
+        compute = max(step.prefill_s - step.prefill_comm_s, step.decode_s - decode_comm_s)
+        if engine._serial_calls:
+            return cfg.step_overhead_s + compute + step.comm_s + cfg.dispatch_s * step.launches
+        pp, m = engine.shard.pp, engine.micro_batches
         stage_layers = cfg.n_layers            # config already holds L/pp
-        tokens = self._step_tokens
-        micro_bytes = tokens * self._hidden * FP16_BYTES / m
+        tokens = step.tokens
+        micro_bytes = tokens * engine._hidden * FP16_BYTES / m
         # One layer's collectives for one micro-batch.  Overlapped, the
         # layer's two sync points fuse into ONE bucketed all-reduce —
         # same bytes, half the α hops.
         layer_comm = 0.0
-        if self.shard.tp > 1 and tokens > 0:
+        if engine.shard.tp > 1 and tokens > 0:
             layer_comm = (
-                self._ic.all_reduce_time(2 * micro_bytes) if self.overlap
-                else 2 * self._ic.all_reduce_time(micro_bytes)
+                engine._ic.all_reduce_time(2 * micro_bytes) if engine.overlap
+                else 2 * engine._ic.all_reduce_time(micro_bytes)
             )
-        if self.overlap:
+        if engine.overlap:
             window = overlapped_layer_time(
-                compute / m, layer_comm, stage_layers, self.fleet.contention
+                compute / m, layer_comm, stage_layers, engine.fleet.contention
             )
         else:
             window = compute / m + stage_layers * layer_comm
         p2p_micro = 0.0
         if pp > 1 and tokens > 0:
-            p2p_micro = self._ic.point_to_point_time(micro_bytes)
+            p2p_micro = engine._ic.point_to_point_time(micro_bytes)
             window += p2p_micro
         core = (m + pp - 1) * window
         comm_step = m * stage_layers * layer_comm
@@ -701,23 +1057,14 @@ class ServingEngine:
         self.p2p_total_s += m * p2p_micro
         self.bubble_total_s += (pp - 1) * window
         self.core_total_s += core
-        self._last_parts = (compute, comm_step, m * p2p_micro, core)
-        return cfg.step_overhead_s + core + cfg.dispatch_s * launches
+        step.parts = (compute, comm_step, m * p2p_micro, core)
+        return cfg.step_overhead_s + core + cfg.dispatch_s * step.launches
 
     # ----------------------------------------------------------------- spans
 
-    def _record_step(
-        self,
-        tracer: Tracer,
-        clock: float,
-        step_s: float,
-        step: int,
-        admitted: int,
-        members: int,
-        launches: int,
-    ) -> None:
-        """Lay one engine step on the simulated timeline: the step span,
-        plus one compute/comm lane per rank on a fleet replica.
+    def _record_step(self, step_s: float) -> None:
+        """Lay the step on the metrics and the simulated timeline: the step
+        span, plus one compute/comm lane per rank on a fleet replica.
 
         Ranks run in lockstep, so each rank lane shows the same
         compute/comm picture — serialized as compute-then-all-reduce,
@@ -725,417 +1072,69 @@ class ServingEngine:
         boundary sends — which is what the scaling study reads off the
         trace.
         """
+        engine = self.engine
+        step = self._step
+        if self._kv_gauge is not None:
+            self._kv_gauge.set(self.cache.occupancy)
+        if self.metrics.enabled:
+            self.metrics.counter("serving.tokens").inc(
+                len(step.completed) + sum(n for _tr, n, _rows in step.emits)
+            )
+            if self.lora is not None:
+                self.metrics.gauge("serving.lora_resident").set(len(self.lora.resident))
+        tracer = self.tracer
         if not tracer.enabled:
             return
+        clock = self.clock
         tracer.add_span(
             "serve.step",
             cat="serving",
             t0=clock,
             dur=step_s,
-            tid=self._lane_base,
-            step=step,
-            admitted=admitted,
-            decode_members=members,
-            launches=launches,
+            tid=engine._lane_base,
+            step=self.steps,
+            admitted=len(step.admitted),
+            decode_members=len(step.emits),
+            launches=step.launches,
         ).add_model_time(step_s - self.config.step_overhead_s)
-        if not self._rank_lanes:
+        if not engine._rank_lanes:
             return
-        if self._serial_calls:
-            comm = self._step_comm_s
+        if engine._serial_calls:
+            comm = step.comm_s
             compute = max(step_s - self.config.step_overhead_s - comm, 0.0)
             p2p = core = 0.0
         else:
-            compute, comm, p2p, core = self._last_parts
-        for r in range(self.shard.tp):
-            lane = self._lane_base + 2 + r
-            tracer.lane_names.setdefault(lane, f"{self._label}tp rank {r}")
+            compute, comm, p2p, core = step.parts
+        shard = engine.shard
+        for r in range(shard.tp):
+            lane = engine._lane_base + 2 + r
+            tracer.lane_names.setdefault(lane, f"{engine._label}tp rank {r}")
             tracer.add_span(
                 "rank.compute", cat="serving.compute",
-                t0=clock, dur=compute, tid=lane, step=step, rank=r,
+                t0=clock, dur=compute, tid=lane, step=self.steps, rank=r,
             )
-            if comm > 0 and self.overlap:
+            if comm > 0 and engine.overlap:
                 tracer.add_span(
                     "rank.overlap", cat="serving.comm",
-                    t0=clock, dur=core, tid=lane, step=step, rank=r,
+                    t0=clock, dur=core, tid=lane, step=self.steps, rank=r,
                     compute_s=compute, comm_s=comm,
-                    contention=self.fleet.contention,
-                    link=self.shard.link.name,
+                    contention=engine.fleet.contention,
+                    link=shard.link.name,
                 )
             elif comm > 0:
                 tracer.add_span(
                     "rank.all_reduce", cat="serving.comm",
                     t0=clock + compute, dur=comm, tid=lane,
-                    step=step, rank=r, link=self.shard.link.name,
+                    step=self.steps, rank=r, link=shard.link.name,
                 )
             if p2p > 0:
                 tracer.add_span(
                     "rank.send", cat="serving.comm",
                     t0=clock + max(core - p2p, 0.0), dur=p2p, tid=lane,
-                    step=step, rank=r, link=self.shard.p2p_link.name,
-                    stages=self.shard.pp,
-                    micro_batches=self.micro_batches,
+                    step=self.steps, rank=r, link=shard.p2p_link.name,
+                    stages=shard.pp,
+                    micro_batches=engine.micro_batches,
                 )
-
-    # ------------------------------------------------------------- simulation
-
-    def run(self, trace: list[Request], rng: RngStream | None = None) -> ServingReport:
-        """Simulate the full trace to completion and report fleet metrics."""
-        if not trace:
-            raise ConfigError("empty request trace")
-        rng = rng or RngStream()
-        mask_rng = rng.fork("serving-masks")
-        cfg = self.config
-        self._spec_proposed = 0
-        self._spec_accepted = 0
-        self._prefill_chunks = 0
-        self.comm_total_s = 0.0
-        self.p2p_total_s = 0.0
-        self.bubble_total_s = 0.0
-        self.core_total_s = 0.0
-        if self._lora is not None:
-            self._lora.reset()
-        cache = PagedKVCache(
-            KVCacheConfig.for_spec(
-                self.spec,
-                cfg.heads,
-                cfg.head_size,
-                cfg.n_layers,
-                page_tokens=cfg.kv_page_tokens,
-                capacity_frac=cfg.kv_capacity_frac,
-            )
-        )
-        # Requests that can never be served — their worst-case context
-        # exceeds an *empty* cache or the scheduler's token budget — are
-        # rejected up front and surfaced in the report; the simulation
-        # proceeds with the rest instead of crashing mid-run.  (Truly
-        # unservable *configurations*, e.g. a cache smaller than one page,
-        # still fail hard at construction, in KVCacheConfig.)
-        trackers = {r.req_id: RequestTracker(r) for r in trace}
-        active: list[Request] = []
-        rejected: list[RequestTracker] = []
-        for req in sorted(trace, key=lambda r: (r.arrival_s, r.req_id)):
-            servable = (
-                cache.fits_alone(req.max_context)
-                and req.max_context <= self.scheduler.max_batch_tokens
-            )
-            if servable:
-                active.append(req)
-            else:
-                trackers[req.req_id].state = RequestState.REJECTED
-                rejected.append(trackers[req.req_id])
-        self._cache = cache
-        for req in active:
-            if req.prefix_id:
-                cache.register_prefix(req.req_id, req.prefix_id, req.prefix_len)
-
-        arrived = 0       # active[:arrived] have entered the engine
-        waiting: list[RequestTracker] = []     # sorted by queue key
-        keys: dict[RequestTracker, tuple] = {}     # computed once, at arrival
-        running: list[RequestTracker] = []
-        finished: list[RequestTracker] = []
-
-        tracer = self.tracer if self.tracer is not None else current_tracer()
-        if tracer.enabled:
-            tracer.lane_names.setdefault(
-                self._lane_base, f"{self._label}engine steps"
-            )
-            tracer.lane_names.setdefault(
-                self._lane_base + 1, f"{self._label}requests"
-            )
-        metrics = current_metrics()
-        kv_gauge = (
-            metrics.gauge("serving.kv_occupancy") if metrics.enabled else None
-        )
-
-        clock = 0.0
-        steps = 0
-
-        def credit_token(tr: RequestTracker) -> None:
-            tr.generated += 1
-            tr.token_times_s.append(clock)
-            if tr.ttft_s is None:
-                tr.ttft_s = clock
-            if tr.done:
-                tr.finish_s = clock
-                tr.state = RequestState.FINISHED
-                # Nothing reads a finished request's mask again; drop its
-                # max_context^2 bytes now, not at the end of the run.
-                tr._full_mask = None
-                if tr in waiting:      # preempted in the same step it finished
-                    waiting.remove(tr)
-                finished.append(tr)
-                if tracer.enabled:
-                    arrival = tr.request.arrival_s
-                    span = tracer.add_span(
-                        f"request {tr.req_id}",
-                        cat="serving.request",
-                        t0=arrival,
-                        dur=clock - arrival,
-                        tid=self._lane_base + 1,
-                        req_id=tr.req_id,
-                        prompt_len=tr.request.prompt_len,
-                        tokens=tr.generated,
-                        ttft_s=(tr.ttft_s or 0.0) - arrival,
-                        preemptions=tr.preemptions,
-                    )
-                    for ts in tr.token_times_s:
-                        span.event("token", ts)
-
-        def preempt(tr: RequestTracker) -> None:
-            cache.release(tr.req_id)
-            running.remove(tr)
-            tr.state = RequestState.WAITING
-            tr.preemptions += 1
-            # Recompute-style preemption discards the KV, so an in-flight
-            # chunked prefill restarts from whatever re-admission finds
-            # cached, not from its old chunk watermark.
-            tr.prefilled = None
-            insort(waiting, tr, key=keys.__getitem__)
-
-        if metrics.enabled and rejected:
-            metrics.counter("serving.rejected").inc(len(rejected))
-
-        while len(finished) < len(active):
-            while arrived < len(active) and active[arrived].arrival_s <= clock:
-                tr = trackers[active[arrived].req_id]
-                arrived += 1
-                keys[tr] = self.scheduler.queue_key(tr)
-                insort(waiting, tr, key=keys.__getitem__)
-
-            # Preempt-to-meet-deadline (SLO policies): evict lower-priority
-            # residents *before* the step forms, so the at-risk waiter is
-            # admitted this very step rather than after their drain.
-            for victim in self.scheduler.deadline_victims(waiting, running, cache, clock):
-                if victim in running:
-                    preempt(victim)
-
-            was_running = list(running)
-            admitted = self.scheduler.admit(waiting, running, cache)
-            for tr in admitted:
-                tr.state = RequestState.RUNNING
-                running.append(tr)
-
-            if not was_running and not admitted:
-                if arrived == len(active):   # pragma: no cover - admission always progresses
-                    raise ConfigError("serving deadlock: nothing runnable")
-                clock = active[arrived].arrival_s
-                continue
-
-            self._step_comm_s = 0.0
-            self._step_tokens = 0
-            launches = 0
-            prefill_s = 0.0
-            #: Trackers whose prefill finishes this step (they earn their
-            #: first token at step end).  Without chunking this is exactly
-            #: ``admitted``.
-            prefill_completed: list[RequestTracker] = []
-            #: Adapter -> prefill rows computed this step (LoRA pricing).
-            lora_prefill: dict[str, int] = {}
-            for tr in admitted:
-                cached = cache.cached_prefix_tokens(tr.req_id)
-                if cfg.chunk_prefill_tokens <= 0 or (
-                    tr.context_len - cached <= cfg.chunk_prefill_tokens
-                ):
-                    # Whole remaining context fits one chunk: take the
-                    # historical whole-prefill path, bit for bit.
-                    t, n, rows = self._prefill_time(tr, mask_rng)
-                    prefill_s += t
-                    launches += n
-                    prefill_completed.append(tr)
-                    if self._lora is not None and tr.request.adapter:
-                        lora_prefill[tr.request.adapter] = (
-                            lora_prefill.get(tr.request.adapter, 0) + rows
-                        )
-                else:
-                    tr.prefilled = cached
-            if cfg.chunk_prefill_tokens > 0:
-                # Advance in-flight chunked prefills — including those
-                # admitted this very step — fused into the step alongside
-                # decode.  ``chunk_prefill_tokens`` is a *per-step* prefill
-                # token budget shared FCFS across pending prefills
-                # (Sarathi-style): the step's total prefill work stays
-                # bounded by one chunk, so decode rows never stall behind
-                # a whole long prompt — or behind several chunks at once.
-                budget = cfg.chunk_prefill_tokens
-                fills = sorted(
-                    (t for t in running if t.prefill_pending),
-                    key=lambda t: (t.request.arrival_s, t.req_id),
-                )
-                for tr in fills:
-                    if budget <= 0:
-                        break
-                    t, n, rows = self._chunk_prefill_time(
-                        tr, mask_rng, budget
-                    )
-                    budget -= rows
-                    prefill_s += t
-                    launches += n
-                    if self._lora is not None and tr.request.adapter:
-                        lora_prefill[tr.request.adapter] = (
-                            lora_prefill.get(tr.request.adapter, 0) + rows
-                        )
-                    if tr.prefilled >= tr.context_len:
-                        tr.prefilled = None
-                        prefill_completed.append(tr)
-            prefill_comm_s = self._step_comm_s
-
-            members = self.scheduler.decode_members(was_running)
-            if self.scheduler.allows_preemption:
-                members.sort(key=lambda tp: (tp[0].request.arrival_s, tp[0].req_id))
-                survivors: list[tuple[RequestTracker, int]] = []
-                for tr, pos in members:
-                    if tr not in running:   # evicted earlier in this pass
-                        continue
-                    preempted_self = False
-                    need = tr.context_len + 1
-                    if cfg.spec_decode is not None:
-                        # Speculative members may advance k+1 positions in
-                        # one step; reserve that headroom (clamped to the
-                        # budget the request can actually reach).
-                        need = min(
-                            need + cfg.spec_decode.draft_tokens,
-                            tr.request.max_context,
-                        )
-                    while not cache.reserve(tr.req_id, need):
-                        evictable = [
-                            t
-                            for t in running
-                            if t is not tr
-                            and all(t is not s for s, _ in survivors)
-                        ]
-                        if not evictable:   # pragma: no cover - solo fit holds
-                            preempt(tr)
-                            preempted_self = True
-                            break
-                        victim = max(
-                            evictable,
-                            key=lambda t: (t.request.arrival_s, t.req_id),
-                        )
-                        preempt(victim)
-                    if not preempted_self:
-                        survivors.append((tr, pos))
-                members = survivors
-            if cfg.spec_decode is not None and members:
-                decode_s, n, emits = self._spec_decode_step(members, mask_rng)
-            else:
-                decode_s, n = self._decode_time(members, mask_rng)
-                decode_s += self._collective_s(len(members))
-                emits = [(tr, 1) for tr, _pos in members]
-            launches += n
-            decode_comm_s = self._step_comm_s - prefill_comm_s
-
-            lora_swap_s = 0.0
-            if self._lora is not None:
-                # Gathered adapter GEMMs ride each phase's forward (the
-                # fused-step max applies); swap-ins serialize on PCIe.
-                lora_decode: dict[str, int] = {}
-                for tr, n_tok in emits:
-                    ad = tr.request.adapter
-                    if not ad:
-                        continue
-                    rows = n_tok if cfg.spec_decode is None else (
-                        # Verified rows, not emitted: k_i + 1 per member.
-                        min(
-                            cfg.spec_decode.draft_tokens,
-                            tr.request.max_new_tokens - tr.generated - 1,
-                        )
-                        + 1
-                    )
-                    lora_decode[ad] = lora_decode.get(ad, 0) + rows
-                if lora_prefill:
-                    t, n = self._lora.gemm_time(
-                        sum(lora_prefill.values()), len(lora_prefill)
-                    )
-                    prefill_s += t
-                    launches += n
-                if lora_decode:
-                    t, n = self._lora.gemm_time(
-                        sum(lora_decode.values()), len(lora_decode)
-                    )
-                    decode_s += t
-                    launches += n
-                touched = set(lora_prefill) | set(lora_decode)
-                if touched:
-                    swaps_before = self._lora.swaps
-                    lora_swap_s = self._lora.touch(touched)
-                    if metrics.enabled and self._lora.swaps > swaps_before:
-                        metrics.counter("serving.lora_swaps").inc(
-                            self._lora.swaps - swaps_before
-                        )
-
-            step_s = (
-                self._step_time(
-                    prefill_s, prefill_comm_s, decode_s, decode_comm_s, launches
-                )
-                + lora_swap_s
-            )
-
-            self._record_step(
-                tracer, clock, step_s, steps, len(admitted), len(members),
-                launches,
-            )
-            if kv_gauge is not None:
-                kv_gauge.set(cache.occupancy)
-            if metrics.enabled:
-                metrics.counter("serving.tokens").inc(
-                    len(prefill_completed) + sum(n for _tr, n in emits)
-                )
-                if self._lora is not None:
-                    metrics.gauge("serving.lora_resident").set(
-                        len(self._lora.resident)
-                    )
-
-            clock += step_s
-            steps += 1
-
-            for tr in prefill_completed:
-                credit_token(tr)
-            for tr, n_tok in emits:
-                for _ in range(n_tok):
-                    if not tr.done:
-                        credit_token(tr)
-
-            for tr in self.scheduler.releasable(running):
-                cache.release(tr.req_id)
-                running.remove(tr)
-
-        first_arrival = min(r.arrival_s for r in trace)
-        last_finish = (
-            max(tr.finish_s or 0.0 for tr in finished)
-            if finished else first_arrival
-        )
-        patterns = sorted({r.pattern for r in trace})
-        completed_metrics = sorted(
-            (RequestMetrics.from_tracker(tr) for tr in finished),
-            key=lambda m: m.req_id,
-        )
-        return ServingReport(
-            policy=self.scheduler.name,
-            pattern="+".join(patterns),
-            device=self.spec.name,
-            n_requests=len(trace),
-            completed=len(finished),
-            makespan_s=last_finish - first_arrival,
-            total_tokens=sum(tr.generated for tr in finished),
-            total_steps=steps,
-            preemptions=sum(tr.preemptions for tr in trackers.values()),
-            kv_peak_occupancy=cache.peak_occupancy,
-            rejected_ids=tuple(tr.req_id for tr in rejected),
-            requests=completed_metrics,
-            kv_peak_used_pages=cache.peak_used_pages,
-            kv_peak_logical_pages=cache.peak_logical_pages,
-            cow_forks=cache.cow_forks,
-            tenants=tenant_rows(trace, completed_metrics, self.scheduler),
-            plan_cache=self.plan_cache.stats() if cfg.use_plan_cache else None,
-            spec_proposed=self._spec_proposed,
-            spec_accepted=self._spec_accepted,
-            prefill_chunks=self._prefill_chunks,
-            lora_swaps=self._lora.swaps if self._lora is not None else 0,
-            lora_peak_resident=(
-                self._lora.peak_resident if self._lora is not None else 0
-            ),
-        )
-
 
 def simulate_serving(
     trace: list[Request],

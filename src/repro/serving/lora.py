@@ -91,12 +91,6 @@ class AdapterRegistry:
     def resident(self) -> tuple[str, ...]:
         return tuple(self._resident)
 
-    def reset(self) -> None:
-        """Forget residency and counters (a fresh run of the same engine)."""
-        self._resident.clear()
-        self.swaps = 0
-        self.peak_resident = 0
-
     @property
     def adapter_bytes(self) -> int:
         """FP16 bytes of one adapter (A and B matrices, all layers)."""

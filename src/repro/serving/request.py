@@ -185,12 +185,6 @@ class RequestTracker:
         pattern = PATTERN_REGISTRY[self.request.pattern]
         return pattern.pinned_params(dict(self.request.pattern_overrides))
 
-    def decode_row(self, rng: RngStream) -> np.ndarray:
-        """Mask row of the next token: position ``context_len`` attends
-        the first ``context_len + 1`` cached positions."""
-        t = self.context_len
-        return self.full_mask(rng)[t, : t + 1]
-
     def prefill_mask(self, rng: RngStream) -> np.ndarray:
         """Square mask of the (re)compute pass over the current context."""
         t = self.context_len

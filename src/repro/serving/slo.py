@@ -158,30 +158,24 @@ class SLOScheduler(ContinuousBatchScheduler):
         )
         victims: list[RequestTracker] = []
         freed = cache.free_pages
-        residents = len(running)
         tokens = sum(tr.context_len for tr in running)
-
-        def admits() -> bool:
+        for tr in [*evictable, None]:
             # ContinuousBatchScheduler.admit's terms once the victims
             # leave: a slot, the token budget, and the head's pages plus
             # one free page per remaining resident.
+            residents = len(running) - len(victims)
             need = cache.config.pages_for(ctx) + residents + 1 if residents else 0
-            return (
+            if (
                 residents < self.max_batch_size
                 and tokens + ctx <= self.max_batch_tokens
                 and freed >= max(floor, need)
-            )
-
-        for tr in evictable:
-            if admits():
-                break
+            ):
+                return victims
+            if tr is None:
+                return []  # eviction would not admit the waiter: don't thrash
             victims.append(tr)
             freed += cache.reclaimable_pages_of(tr.req_id)
-            residents -= 1
             tokens -= tr.context_len
-        if not admits():
-            return []      # eviction would not admit the waiter: don't thrash
-        return victims
 
 
 SCHEDULERS[SLOScheduler.name] = SLOScheduler

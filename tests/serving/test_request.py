@@ -81,7 +81,6 @@ class TestRequestTracker:
         rng = RngStream(3)
         full = tr.full_mask(rng)
         tr.generated = 2
-        assert np.array_equal(tr.decode_row(rng), full[10, :11])
         assert np.array_equal(tr.prefill_mask(rng), full[:10, :10])
 
     def test_initial_state(self):
