@@ -647,7 +647,7 @@ class ReplicaRun:
 
     # ----------------------------------------------------------------- API
 
-    def submit(self, request: Request) -> RequestTracker:
+    def submit(self, request: Request) -> None:
         """Enqueue one arrival; an idle run's clock moves to it.
 
         A request that can never be served — its worst-case context
@@ -666,7 +666,7 @@ class ReplicaRun:
             tr.state = RequestState.REJECTED
             if self.metrics.enabled:
                 self.metrics.counter("serving.rejected").inc()
-            return tr
+            return
         if request.prefix_id:
             self.cache.register_prefix(
                 request.req_id, request.prefix_id, request.prefix_len
@@ -675,7 +675,6 @@ class ReplicaRun:
             self.clock = max(self.clock, request.arrival_s)
         self._keys[tr] = self.scheduler.queue_key(tr)
         insort(self.waiting, tr, key=self._keys.__getitem__)
-        return tr
 
     def next_event_s(self) -> float | None:
         """The clock of the next step; ``None`` when nothing waits or runs."""
@@ -687,8 +686,8 @@ class ReplicaRun:
         self._evict_for_deadlines()
         was_running = list(self.running)
         self._step = step = _Step(self._admit())
-        if not was_running and not step.admitted:  # pragma: no cover - admission always progresses
-            raise ConfigError("serving deadlock: nothing runnable")
+        if not was_running and not step.admitted:   # admission takes any waiter on an idle device
+            raise ConfigError("step() on an idle run: nothing waits or runs")
         self._prefill()
         step.prefill_comm_s = step.comm_s
         self._decode(self._reserve(self.scheduler.decode_members(was_running)))

@@ -13,9 +13,11 @@ fire in them.
 from dataclasses import replace
 from itertools import zip_longest
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigError
 from repro.core.rng import RngStream
 from repro.gpu.specs import A100
 from repro.serving import (
@@ -185,3 +187,20 @@ def test_interleaved_runs_of_one_engine_equal_their_solo_runs():
     check()
     assert fired["preemption"] > 0
     assert fired["deadline"] > 0
+
+
+def test_an_idle_run_has_no_next_step():
+    """Before its first arrival and once drained, a run reports no next
+    step, and stepping it is an error rather than a silent no-op."""
+    engine = make_engine("continuous", 0.3, None, False, 0, False)
+    run = engine.start(RngStream(1))
+    assert run.next_event_s() is None
+    with pytest.raises(ConfigError, match="idle"):
+        run.step()
+    trace = make_trace(4, 1, False)
+    for _ in actions(run, trace):
+        pass
+    assert run.next_event_s() is None
+    assert run.report().completed == 4
+    with pytest.raises(ConfigError, match="idle"):
+        run.step()
