@@ -648,7 +648,7 @@ class ReplicaRun:
     # ----------------------------------------------------------------- API
 
     def submit(self, request: Request) -> None:
-        """Enqueue one arrival; an idle run's clock moves to it.
+        """Enqueue one arrival; an idle run's clock moves up to it.
 
         A request that can never be served — its worst-case context
         exceeds an *empty* cache or the scheduler's token budget — is

@@ -95,8 +95,8 @@ def make_trace(n, seed, lora):
 def actions(run, trace, mid_run=None):
     """Drive ``run`` over ``trace``: before each arrival, step while the
     next step comes earlier, then submit it; then step until drained.
-    Yields after every call.  ``mid_run`` counts the arrivals submitted
-    while the run had work in hand."""
+    Yields after every call.  ``mid_run`` collects the ids of arrivals
+    submitted while the run had work in hand."""
     for req in sorted(trace, key=lambda r: (r.arrival_s, r.req_id)):
         while (clock := run.next_event_s()) is not None and clock < req.arrival_s:
             run.step()
