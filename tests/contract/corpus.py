@@ -11,7 +11,10 @@ with sha256; ``digests.json`` holds the committed digests and
   engine report without its host-timed ``overhead``, plus every chain's
   nodes, scheme, template classes, segment names and params;
 * ``cli/<command>`` — the stdout of a serving command that CI runs, and
-  ``repro plan-cache --num-requests 4`` without its host-timed lines.
+  ``repro plan-cache --num-requests 4`` without its host-timed lines;
+* ``cli/options`` — every subcommand's options as argparse holds them:
+  option strings, action class, default, type, choices, nargs, const,
+  metavar and required flag, help text left out.
 
 The workloads are perfbench's own (``perfbench/workloads.py``, imported
 read-only), so the digests cover exactly what the benchmark times.  The
@@ -158,11 +161,32 @@ def cli_stdout(command: str) -> str:
     )
 
 
-def _cli_group() -> dict[str, str]:
+def option_table() -> dict[str, list]:
+    """Each ``repro`` subcommand's actions sorted by ``dest``, every
+    field that decides how an argument parses (help text left out)."""
+    from repro.cli import build_parser
+
+    commands = build_parser()._subparsers._group_actions[0].choices
     return {
+        name: [
+            (
+                action.dest, action.option_strings, type(action),
+                action.default, action.type, action.choices, action.nargs,
+                action.const, action.metavar, action.required,
+            )
+            for action in sorted(parser._actions, key=lambda a: a.dest)
+        ]
+        for name, parser in commands.items()
+    }
+
+
+def _cli_group() -> dict[str, str]:
+    out = {
         f"cli/{command}": hashlib.sha256(cli_stdout(command).encode()).hexdigest()
         for command in CLI_COMMANDS
     }
+    out["cli/options"] = digest(option_table())
+    return out
 
 
 #: Group name -> builder of its {entry: digest}.
