@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 
 from repro.api import ENGINES, compare_engines, compile_model, serve
@@ -68,13 +68,54 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_mask(
-    parser: argparse.ArgumentParser,
-    default: str | None,
-    choices: Sequence[str] | None = None,
-    help: str = "mask pattern",
-) -> None:
-    parser.add_argument("--mask", default=default, choices=choices, help=help)
+def _add_model_flags(parser: argparse.ArgumentParser, model: str = "bert-small",
+                     batch: int = 1, seq_len: int = 128) -> None:
+    """One model workload: zoo model, batch, sequence length and mask."""
+    parser.add_argument("--model", default=model)
+    parser.add_argument("--batch", type=int, default=batch)
+    parser.add_argument("--seq-len", type=int, default=seq_len)
+    parser.add_argument("--mask", default="bigbird", help="mask pattern")
+
+
+def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
+    """The synthetic request trace of serve-sim and shard-sim."""
+    parser.add_argument("--mask", default="causal",
+                        choices=sorted(PATTERN_REGISTRY), help="mask pattern")
+    parser.add_argument("--num-requests", type=int, default=32)
+    parser.add_argument("--rate", type=float, default=500.0,
+                        help="mean arrival rate (requests/s)")
+    parser.add_argument("--prompt-min", type=int, default=32)
+    parser.add_argument("--prompt-max", type=int, default=160)
+    parser.add_argument("--new-min", type=int, default=16)
+    parser.add_argument("--new-max", type=int, default=64)
+
+
+def _add_replica_flags(parser: argparse.ArgumentParser) -> None:
+    """One serving replica: model shape, batch limits and KV cache."""
+    parser.add_argument("--heads", type=int, default=12)
+    parser.add_argument("--head-size", type=int, default=64)
+    parser.add_argument("--layers", type=int, default=12)
+    parser.add_argument("--max-batch", type=int, default=16)
+    parser.add_argument("--max-batch-tokens", type=int, default=65536)
+    parser.add_argument("--kv-frac", type=float, default=0.3,
+                        help="fraction of device memory granted to the KV cache")
+    parser.add_argument("--page-tokens", type=int, default=16)
+
+
+def _add_layout_flags(parser: argparse.ArgumentParser, tp: int) -> None:
+    """One replica's tensor/pipeline layout and the link between its GPUs."""
+    parser.add_argument("--tp", type=int, default=tp,
+                        help="tensor-parallel ranks per replica")
+    parser.add_argument("--pp", type=int, default=1,
+                        help="pipeline stages per replica (layers must divide)")
+    parser.add_argument("--link", default="nvlink", choices=("nvlink", "pcie", "ib"),
+                        help="inter-GPU link for the TP collectives")
+
+
+def _add_plan_key_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--symbolic-plan-keys", action="store_true",
+                        help="share guarded decode-plan families across "
+                             "requests (see docs/symbolic_shapes.md)")
 
 
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
@@ -229,115 +270,103 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_knobs(args: argparse.Namespace) -> tuple["Any", int, "Any"]:
-    """Resolve --spec-decode/--chunk-tokens/--lora-* into config values."""
+def _request_trace(args: argparse.Namespace) -> list:
+    """The synthetic request trace the trace flags describe."""
+    from repro.serving import synthetic_trace
+
+    return synthetic_trace(
+        args.num_requests, args.rate, rng=RngStream(args.seed).fork("trace"),
+        prompt_range=(args.prompt_min, args.prompt_max),
+        max_new_range=(args.new_min, args.new_max), pattern=args.mask,
+    )
+
+
+def _workload_fields(args: argparse.Namespace) -> dict[str, Any]:
+    """--spec-decode/--chunk-tokens/--lora-* as ServingConfig fields."""
     from repro.serving import LoRAConfig, SpeculativeConfig
 
-    spec_decode = None
+    spec_decode = lora = None
     if args.spec_decode > 0:
         spec_decode = SpeculativeConfig(
             draft_tokens=args.spec_decode,
             accept_rate=args.accept_rate,
             draft_cost_ratio=args.draft_cost_ratio,
         )
-    lora = None
     if args.lora_adapters > 0:
-        lora = LoRAConfig(
-            rank=args.lora_rank, max_resident=args.lora_max_resident
-        )
-    return spec_decode, args.chunk_tokens, lora
+        lora = LoRAConfig(rank=args.lora_rank, max_resident=args.lora_max_resident)
+    return dict(spec_decode=spec_decode, chunk_prefill_tokens=args.chunk_tokens, lora=lora)
+
+
+def _serving_config(args: argparse.Namespace, **fields: Any) -> Any:
+    """The replica flags as a ServingConfig; ``fields`` sets the rest."""
+    from repro.serving import ServingConfig
+
+    return ServingConfig(
+        heads=args.heads, head_size=args.head_size, n_layers=args.layers,
+        kv_capacity_frac=args.kv_frac, kv_page_tokens=args.page_tokens, **fields,
+    )
+
+
+def _batch_limits(args: argparse.Namespace) -> dict[str, int]:
+    """--max-batch/--max-batch-tokens as every scheduler builder takes them."""
+    return dict(max_batch_size=args.max_batch, max_batch_tokens=args.max_batch_tokens)
+
+
+def _fleet_config(args: argparse.Namespace, dp: int = 1, inter_link: str | None = None,
+                  **fields: Any) -> Any:
+    """The layout flags as a FleetConfig; ``fields`` sets the rest."""
+    from repro.parallel import FleetConfig, ShardConfig, get_link
+
+    shard = ShardConfig(
+        tp=args.tp, pp=args.pp, dp=dp, link=get_link(args.link),
+        inter_link=get_link(inter_link) if inter_link else None,
+    )
+    return FleetConfig(shard=shard, **fields)
 
 
 def cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.serving import ServingConfig, assign_adapters, synthetic_trace
+    from repro.serving import assign_adapters
 
     spec = get_spec(args.device)
-    trace = synthetic_trace(
-        args.num_requests,
-        args.rate,
-        rng=RngStream(args.seed).fork("trace"),
-        prompt_range=(args.prompt_min, args.prompt_max),
-        max_new_range=(args.new_min, args.new_max),
-        pattern=args.mask,
-    )
-    spec_decode, chunk_tokens, lora = _workload_knobs(args)
-    if lora is not None:
+    trace = _request_trace(args)
+    workload = _workload_fields(args)
+    if workload["lora"] is not None:
         trace = assign_adapters(trace, args.lora_adapters)
-    config = ServingConfig(
-        heads=args.heads,
-        head_size=args.head_size,
-        n_layers=args.layers,
-        kv_capacity_frac=args.kv_frac,
-        kv_page_tokens=args.page_tokens,
-        symbolic_plan_keys=args.symbolic_plan_keys,
-        spec_decode=spec_decode,
-        chunk_prefill_tokens=chunk_tokens,
-        lora=lora,
-    )
+    config = _serving_config(args, symbolic_plan_keys=args.symbolic_plan_keys, **workload)
     policies = ("static", "continuous") if args.policy == "both" else (args.policy,)
     print(
         f"serve-sim: {args.num_requests} requests @ {args.rate:.0f} req/s, "
         f"mask {args.mask}, {spec.name}\n"
     )
     for policy in policies:
-        report = serve(
-            config, trace, device=spec, policy=policy, seed=args.seed,
-            max_batch_size=args.max_batch,
-            max_batch_tokens=args.max_batch_tokens,
-        )
+        report = serve(config, trace, device=spec, policy=policy, seed=args.seed,
+                       **_batch_limits(args))
         print(report.summary())
         print()
     return 0
 
 
 def cmd_shard_sim(args: argparse.Namespace) -> int:
-    from repro.parallel import (
-        DEFAULT_CONTENTION,
-        FleetConfig,
-        ShardConfig,
-        get_link,
-    )
-    from repro.serving import ServingConfig, synthetic_trace
+    from repro.parallel import DEFAULT_CONTENTION
 
     spec = get_spec(args.device)
-    shard = ShardConfig(
-        tp=args.tp, pp=args.pp, dp=args.dp, link=get_link(args.link),
-        inter_link=get_link(args.inter_link) if args.inter_link else None,
-    )
-    trace = synthetic_trace(
-        args.num_requests,
-        args.rate,
-        rng=RngStream(args.seed).fork("trace"),
-        prompt_range=(args.prompt_min, args.prompt_max),
-        max_new_range=(args.new_min, args.new_max),
-        pattern=args.mask,
-    )
-    config = ServingConfig(
-        heads=args.heads,
-        head_size=args.head_size,
-        n_layers=args.layers,
-        kv_capacity_frac=args.kv_frac,
-        kv_page_tokens=args.page_tokens,
-        symbolic_plan_keys=args.symbolic_plan_keys,
-    )
-    fleet = FleetConfig(
-        shard=shard,
-        route=args.route,
-        overlap=not args.no_overlap,
-        micro_batches=args.micro_batches,
+    fleet = _fleet_config(
+        args, dp=args.dp, inter_link=args.inter_link, route=args.route,
+        overlap=not args.no_overlap, micro_batches=args.micro_batches,
         contention=(
             args.contention if args.contention is not None
             else DEFAULT_CONTENTION
         ),
     )
+    trace = _request_trace(args)
+    config = _serving_config(args, symbolic_plan_keys=args.symbolic_plan_keys)
     report = serve(
         config, trace, device=spec, policy=args.policy, fleet=fleet,
-        seed=args.seed, max_batch_size=args.max_batch,
-        max_batch_tokens=args.max_batch_tokens,
+        seed=args.seed, **_batch_limits(args),
     )
     print(
         f"shard-sim: {args.num_requests} requests @ {args.rate:.0f} req/s, "
-        f"mask {args.mask}, {shard.world_size}x {spec.name}\n"
+        f"mask {args.mask}, {fleet.shard.world_size}x {spec.name}\n"
     )
     print(report.summary())
     stats = report.plan_cache
@@ -349,45 +378,34 @@ def cmd_shard_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet_sim(args: argparse.Namespace) -> int:
-    from repro.parallel import (
-        FleetConfig,
-        ShardConfig,
-        cost_throughput_frontier,
-        get_link,
-    )
-    from repro.serving import (
-        ServingConfig,
-        SLOPolicy,
-        assign_adapters,
-        make_scenario,
-    )
+def _dp_values(text: str) -> tuple[int, ...]:
+    """--dp-values as fixed fleet widths, each at least 1."""
+    try:
+        widths = tuple(int(v) for v in text.split(","))
+        if min(widths) >= 1:
+            return widths
+    except ValueError:
+        pass
+    raise ConfigError(f"--dp-values takes comma-separated widths >= 1, got {text!r}")
 
+
+def cmd_fleet_sim(args: argparse.Namespace) -> int:
+    from repro.parallel import cost_throughput_frontier
+    from repro.serving import SLOPolicy, assign_adapters, make_scenario
+
+    dp_values = _dp_values(args.dp_values) if args.frontier else ()
     spec = get_spec(args.device)
-    workload = make_scenario(
+    # Drawn from the stream serve() would draw a WorkloadSpec from, so
+    # adapters can be assigned and the frontier replays the same requests.
+    trace = make_scenario(
         args.scenario, n_requests=args.num_requests, rate_rps=args.rate
-    )
-    spec_decode, chunk_tokens, lora = _workload_knobs(args)
-    if lora is not None:
-        # Generate here (same stream serve() would use) so round-robin
-        # adapter assignment can run over the concrete request list.
-        workload = assign_adapters(
-            workload.generate(RngStream(args.seed).fork("workload")),
-            args.lora_adapters,
-        )
-    config = ServingConfig(
-        heads=args.heads,
-        head_size=args.head_size,
-        n_layers=args.layers,
-        kv_capacity_frac=args.kv_frac,
-        kv_page_tokens=args.page_tokens,
-        spec_decode=spec_decode,
-        chunk_prefill_tokens=chunk_tokens,
-        lora=lora,
-    )
-    fleet = FleetConfig(
-        shard=ShardConfig(tp=args.tp, pp=args.pp, link=get_link(args.link)),
-        autoscale=True,
+    ).generate(RngStream(args.seed).fork("workload"))
+    workload = _workload_fields(args)
+    if workload["lora"] is not None:
+        trace = assign_adapters(trace, args.lora_adapters)
+    config = _serving_config(args, **workload)
+    fleet = _fleet_config(
+        args, autoscale=True,
         min_replicas=args.min_replicas,
         max_replicas=args.max_replicas,
         scale_up_latency_s=args.scale_up_latency,
@@ -399,22 +417,17 @@ def cmd_fleet_sim(args: argparse.Namespace) -> int:
         f"@ {args.rate:.0f} req/s peak-mean, {spec.name}\n"
     )
     report = serve(
-        config, workload, device=spec, fleet=fleet, slo=slo, seed=args.seed,
-        max_batch_size=args.max_batch, max_batch_tokens=args.max_batch_tokens,
+        config, trace, device=spec, fleet=fleet, slo=slo, seed=args.seed,
+        **_batch_limits(args),
     )
     print(report.summary())
     if args.frontier:
-        trace = (
-            workload if isinstance(workload, list)
-            else workload.generate(RngStream(args.seed).fork("workload"))
-        )
         print("\ncost/throughput frontier:")
         print(f"  {'point':>6} {'replicas':>9} {'GPU·s':>9} {'tok/s':>9} "
               f"{'tok/GPU·s':>10} {'TTFT p99':>10}")
         for pt in cost_throughput_frontier(
-            spec, trace, config=config, fleet=fleet,
-            dp_values=tuple(int(v) for v in args.dp_values.split(",")),
-            slo=slo, rng=RngStream(args.seed),
+            spec, trace, config=config, fleet=fleet, dp_values=dp_values,
+            slo=slo, rng=RngStream(args.seed), **_batch_limits(args),
         ):
             print(f"  {pt.label:>6} {pt.mean_replicas:>9.2f} "
                   f"{pt.gpu_s:>9.4f} {pt.tokens_per_s:>9,.0f} "
@@ -633,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_devices)
 
     p = sub.add_parser("masks", help="Table-2 style mask analysis")
-    _add_mask(p, default=None, help="analyze one pattern (default: all)")
+    p.add_argument("--mask", default=None,
+                   help="analyze one pattern (default: all)")
     p.add_argument("--seq-len", type=int, default=1024)
     p.add_argument("--show", action="store_true",
                    help="render the mask and its BSR block grid")
@@ -644,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_masks)
 
     p = sub.add_parser("mha", help="compare attention methods")
-    _add_mask(p, default="bigbird", choices=sorted(PATTERN_REGISTRY))
+    p.add_argument("--mask", default="bigbird",
+                   choices=sorted(PATTERN_REGISTRY), help="mask pattern")
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--seq-len", type=int, default=1024)
     p.add_argument("--heads", type=int, default=12)
@@ -653,20 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mha)
 
     p = sub.add_parser("e2e", help="compare end-to-end engines")
-    p.add_argument("--model", default="bert-base")
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--seq-len", type=int, default=512)
-    p.add_argument("--mask", default="bigbird")
+    _add_model_flags(p, model="bert-base", batch=8, seq_len=512)
     p.add_argument("--engines", default=None,
                    help="comma-separated subset (default: all)")
     _add_common(p)
     p.set_defaults(func=cmd_e2e)
 
     p = sub.add_parser("trace", help="export a Chrome-trace of a plan")
-    p.add_argument("--model", default="bert-small")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seq-len", type=int, default=128)
-    p.add_argument("--mask", default="bigbird")
+    _add_model_flags(p)
     p.add_argument("--engine", default="stof")
     p.add_argument("--output", default="stof_trace.json")
     _add_common(p)
@@ -678,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("decode", help="KV-cache generation throughput")
-    _add_mask(p, default="sliding_window", choices=sorted(PATTERN_REGISTRY))
+    p.add_argument("--mask", default="sliding_window",
+                   choices=sorted(PATTERN_REGISTRY), help="mask pattern")
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--heads", type=int, default=12)
     p.add_argument("--head-size", type=int, default=64)
@@ -690,25 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve-sim", help="continuous-batching serving simulation")
     p.add_argument("--policy", default="both",
                    choices=("static", "continuous", "both"))
-    _add_mask(p, default="causal", choices=sorted(PATTERN_REGISTRY))
-    p.add_argument("--num-requests", type=int, default=32)
-    p.add_argument("--rate", type=float, default=500.0,
-                   help="mean arrival rate (requests/s)")
-    p.add_argument("--prompt-min", type=int, default=32)
-    p.add_argument("--prompt-max", type=int, default=160)
-    p.add_argument("--new-min", type=int, default=16)
-    p.add_argument("--new-max", type=int, default=64)
-    p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--head-size", type=int, default=64)
-    p.add_argument("--layers", type=int, default=12)
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--max-batch-tokens", type=int, default=65536)
-    p.add_argument("--kv-frac", type=float, default=0.3,
-                   help="fraction of device memory granted to the KV cache")
-    p.add_argument("--page-tokens", type=int, default=16)
-    p.add_argument("--symbolic-plan-keys", action="store_true",
-                   help="share guarded decode-plan families across requests "
-                        "(see docs/symbolic_shapes.md)")
+    _add_trace_flags(p)
+    _add_replica_flags(p)
+    _add_plan_key_flag(p)
     _add_workload_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_serve_sim)
@@ -717,15 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-sim",
         help="multi-GPU serving simulation (tensor + data parallel)",
     )
-    p.add_argument("--tp", type=int, default=2,
-                   help="tensor-parallel ranks per replica")
-    p.add_argument("--pp", type=int, default=1,
-                   help="pipeline stages per replica (layers must divide)")
+    _add_layout_flags(p, tp=2)
     p.add_argument("--dp", type=int, default=1,
                    help="data-parallel replicas")
-    p.add_argument("--link", default="nvlink",
-                   choices=("nvlink", "pcie", "ib"),
-                   help="inter-GPU link for the TP collectives")
     p.add_argument("--inter-link", default=None,
                    choices=("nvlink", "pcie", "ib"),
                    help="inter-node link: makes collectives hierarchical "
@@ -744,25 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="request routing across DP replicas")
     p.add_argument("--policy", default="continuous",
                    choices=("static", "continuous"))
-    _add_mask(p, default="causal", choices=sorted(PATTERN_REGISTRY))
-    p.add_argument("--num-requests", type=int, default=32)
-    p.add_argument("--rate", type=float, default=500.0,
-                   help="mean arrival rate (requests/s)")
-    p.add_argument("--prompt-min", type=int, default=32)
-    p.add_argument("--prompt-max", type=int, default=160)
-    p.add_argument("--new-min", type=int, default=16)
-    p.add_argument("--new-max", type=int, default=64)
-    p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--head-size", type=int, default=64)
-    p.add_argument("--layers", type=int, default=12)
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--max-batch-tokens", type=int, default=65536)
-    p.add_argument("--kv-frac", type=float, default=0.3,
-                   help="fraction of device memory granted to the KV cache")
-    p.add_argument("--page-tokens", type=int, default=16)
-    p.add_argument("--symbolic-plan-keys", action="store_true",
-                   help="share guarded decode-plan families across requests "
-                        "(see docs/symbolic_shapes.md)")
+    _add_trace_flags(p)
+    _add_replica_flags(p)
+    _add_plan_key_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_shard_sim)
 
@@ -777,12 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-requests", type=int, default=48)
     p.add_argument("--rate", type=float, default=2000.0,
                    help="mean arrival rate (requests/s)")
-    p.add_argument("--tp", type=int, default=1,
-                   help="tensor-parallel ranks per replica")
-    p.add_argument("--pp", type=int, default=1,
-                   help="pipeline stages per replica")
-    p.add_argument("--link", default="nvlink",
-                   choices=("nvlink", "pcie", "ib"))
+    _add_layout_flags(p, tp=1)
     p.add_argument("--min-replicas", type=int, default=1)
     p.add_argument("--max-replicas", type=int, default=8)
     p.add_argument("--scale-up-latency", type=float, default=2e-3,
@@ -796,13 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also sweep fixed DP widths vs the autoscaler")
     p.add_argument("--dp-values", default="1,2,4",
                    help="comma-separated fixed DP widths for --frontier")
-    p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--head-size", type=int, default=64)
-    p.add_argument("--layers", type=int, default=12)
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--max-batch-tokens", type=int, default=65536)
-    p.add_argument("--kv-frac", type=float, default=0.3)
-    p.add_argument("--page-tokens", type=int, default=16)
+    _add_replica_flags(p)
     _add_workload_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_fleet_sim)
@@ -811,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
         "plan-cache",
         help="plan-cache effectiveness: serving sim with and without reuse",
     )
-    _add_mask(p, default="causal", choices=sorted(PATTERN_REGISTRY))
+    p.add_argument("--mask", default="causal",
+                   choices=sorted(PATTERN_REGISTRY), help="mask pattern")
     p.add_argument("--num-requests", type=int, default=12)
     p.add_argument("--rate", type=float, default=2000.0,
                    help="mean arrival rate (requests/s)")
@@ -819,17 +781,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="persist the warm plan cache to this JSON file")
     p.add_argument("--load", default=None,
                    help="inspect a saved plan-cache file instead of running")
-    p.add_argument("--symbolic-plan-keys", action="store_true",
-                   help="share guarded decode-plan families across requests "
-                        "(see docs/symbolic_shapes.md)")
+    _add_plan_key_flag(p)
     _add_common(p)
     p.set_defaults(func=cmd_plan_cache)
 
     p = sub.add_parser("tune", help="run STOF's two-stage tuner and inspect it")
-    p.add_argument("--model", default="bert-small")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seq-len", type=int, default=128)
-    p.add_argument("--mask", default="bigbird")
+    _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_tune)
 
@@ -840,10 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workload", default="compile",
                    choices=("compile", "serve-sim"))
-    p.add_argument("--model", default="bert-small")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seq-len", type=int, default=128)
-    _add_mask(p, default="bigbird")
+    _add_model_flags(p)
     p.add_argument("--engine", default="stof")
     p.add_argument("--exec-backend", default=EXEC_BACKENDS[0],
                    choices=EXEC_BACKENDS,

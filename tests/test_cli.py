@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -202,6 +203,22 @@ class TestCommands:
         assert "cost/throughput frontier" in out
         assert "auto" in out and "dp2" in out
 
+    def test_fleet_sim_frontier_uses_the_batch_limits(self, capsys):
+        """The frontier's ``auto`` point is the autoscaled fleet the report
+        describes, so it runs under the command's ``--max-batch``."""
+        assert main(["fleet-sim", "--scenario", "diurnal",
+                     "--num-requests", "16", "--rate", "3000",
+                     "--max-replicas", "2", "--layers", "2",
+                     "--heads", "4", "--head-size", "16",
+                     "--frontier", "--max-batch", "2"]) == 0
+        out = capsys.readouterr().out
+        mean = re.search(r"autoscale .* mean ([\d.]+),", out).group(1)
+        gpu_s, ttft = re.search(
+            r"cost +: ([\d.]+) GPU·s .* TTFT p99 (.+)", out
+        ).groups()
+        auto = re.search(r"^ +auto +(.*)$", out, re.MULTILINE).group(1).split()
+        assert (auto[0], auto[1], " ".join(auto[4:])) == (mean, gpu_s, ttft)
+
     def test_shard_sim_bad_pipeline_divisibility(self, capsys):
         assert main(["shard-sim", "--tp", "2", "--pp", "3",
                      "--layers", "4", "--heads", "4",
@@ -228,6 +245,18 @@ class TestErrorExitCodes:
         main(["tune", "--model", "no-such-model"])
         err = capsys.readouterr().err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dp_values", ["1,x", "1,0", ""])
+    def test_malformed_dp_values_exit_2_before_any_run(self, capsys,
+                                                       dp_values):
+        assert main(["fleet-sim", "--scenario", "steady",
+                     "--num-requests", "4", "--max-replicas", "2",
+                     "--layers", "2", "--heads", "4", "--head-size", "16",
+                     "--frontier", "--dp-values", dp_values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "--dp-values" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("content", ["{not json", "[]"],
                              ids=["not-json", "list"])
