@@ -31,7 +31,7 @@ from repro.core.rng import RngStream
 from repro.core.units import format_time
 from repro.gpu.specs import GPUSpec
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.shard import FleetConfig, ShardConfig
+from repro.parallel.shard import FleetConfig
 from repro.plan import PlanCache
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.metrics import (
@@ -41,23 +41,6 @@ from repro.serving.metrics import (
 )
 from repro.serving.request import Request
 from repro.serving.slo import SLOPolicy, make_policy_scheduler
-
-_UNSET = object()
-
-
-def _resolve_fleet(fleet, plain: dict, autoscale: bool) -> FleetConfig:
-    """Fold an engine's ``shard=``/``route=`` short forms into one
-    :class:`FleetConfig`; either conflicts with an explicit ``fleet=``.
-    Without one, the engine class sets ``autoscale``."""
-    given = {k: v for k, v in plain.items() if v is not _UNSET}
-    if fleet is not None:
-        for name in given:
-            raise ConfigError(
-                f"got both fleet= and the {name!r} keyword; "
-                f"set {name} on the FleetConfig"
-            )
-        return fleet
-    return FleetConfig(autoscale=autoscale, **given)
 
 
 @dataclass
@@ -188,8 +171,6 @@ class ShardedServingEngine:
         spec: GPUSpec,
         policy: str = "continuous",
         config: ServingConfig | None = None,
-        shard: "str | ShardConfig | object" = _UNSET,
-        route: "str | object" = _UNSET,
         max_batch_size: int = 16,
         max_batch_tokens: int = 65536,
         tracer: Tracer | None = None,
@@ -197,9 +178,7 @@ class ShardedServingEngine:
         fleet: FleetConfig | None = None,
         slo: SLOPolicy | None = None,
     ):
-        fleet = _resolve_fleet(
-            fleet, {"shard": shard, "route": route}, self.autoscaled
-        )
+        fleet = fleet or FleetConfig(autoscale=self.autoscaled)
         if fleet.autoscale != self.autoscaled:
             raise ConfigError(
                 f"{type(self).__name__} cannot run FleetConfig(autoscale="

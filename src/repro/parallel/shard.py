@@ -173,13 +173,14 @@ ROUTES = ("round-robin", "least-loaded")
 class FleetConfig:
     """Everything fleet-shaped about a serving deployment, in one object.
 
-    ``shard`` and ``route`` also have plain short forms on the fleet
-    engines of :mod:`repro.parallel.serving`.  The autoscaling fields
-    only matter with ``autoscale=True``: the data-parallel width then
-    floats between ``min_replicas`` and ``max_replicas``, re-evaluated
-    every ``scale_window_s`` of simulated time against the measured
-    per-replica capacity, with scale-ups landing ``scale_up_latency_s``
-    after the decision (scale-downs are immediate) — see
+    It is the only spelling of a fleet: the engines of
+    :mod:`repro.parallel.serving` take no fleet keyword of their own.
+    The autoscaling fields only matter with ``autoscale=True``: the
+    data-parallel width then floats between ``min_replicas`` and
+    ``max_replicas``, re-evaluated every ``scale_window_s`` of simulated
+    time against the measured per-replica capacity, with scale-ups
+    landing ``scale_up_latency_s`` after the decision (scale-downs are
+    immediate) — see
     :class:`~repro.parallel.serving.AutoscalingServingEngine`.
     """
 

@@ -185,7 +185,9 @@ def requests(*sizes):
 class TestRouting:
     def test_unknown_route_rejected(self):
         with pytest.raises(ConfigError, match="unknown route"):
-            ShardedServingEngine(A100, config=CONFIG, route="random")
+            ShardedServingEngine(
+                A100, config=CONFIG, fleet=FleetConfig(route="random")
+            )
 
     def test_empty_trace_rejected(self):
         engine = ShardedServingEngine(A100, config=CONFIG)
@@ -194,7 +196,8 @@ class TestRouting:
 
     def test_round_robin_alternates_in_arrival_order(self):
         engine = ShardedServingEngine(
-            A100, config=CONFIG, shard="dp2", route="round-robin"
+            A100, config=CONFIG,
+            fleet=FleetConfig(shard="dp2", route="round-robin"),
         )
         trace = requests(*[(i, 16, 4) for i in range(6)])
         report = engine.run(trace, rng=RngStream(17))
@@ -204,14 +207,17 @@ class TestRouting:
         """A heavy head request loads replica 0; later arrivals drain to
         the lighter replica until the loads cross."""
         engine = ShardedServingEngine(
-            A100, config=CONFIG, shard="dp2", route="least-loaded"
+            A100, config=CONFIG,
+            fleet=FleetConfig(shard="dp2", route="least-loaded"),
         )
         trace = requests((0, 100, 20), (1, 8, 4), (2, 8, 4))
         report = engine.run(trace, rng=RngStream(17))
         assert report.assignments == ((0,), (1, 2))
 
     def test_more_replicas_than_requests(self):
-        engine = ShardedServingEngine(A100, config=CONFIG, shard="dp4")
+        engine = ShardedServingEngine(
+            A100, config=CONFIG, fleet=FleetConfig(shard="dp4")
+        )
         report = engine.run(requests((0, 16, 4), (1, 16, 4)),
                             rng=RngStream(17))
         assert report.completed == 2
@@ -258,8 +264,9 @@ class TestFleetEngineChoice:
 class TestShardedServing:
     def run_sharded(self, shard, trace=None, **kwargs):
         trace = trace if trace is not None else small_trace()
-        engine = ShardedServingEngine(A100, config=CONFIG, shard=shard,
-                                      **kwargs)
+        engine = ShardedServingEngine(
+            A100, config=CONFIG, fleet=FleetConfig(shard=shard), **kwargs
+        )
         return engine, engine.run(trace, rng=RngStream(17))
 
     def test_aggregates_cover_the_whole_trace(self):
@@ -313,8 +320,9 @@ class TestShardedServing:
         """The default mode lays one contention-priced window per rank
         instead of a trailing all-reduce."""
         tracer = Tracer()
-        engine = ShardedServingEngine(A100, config=CONFIG, shard="tp2",
-                                      tracer=tracer)
+        engine = ShardedServingEngine(
+            A100, config=CONFIG, fleet=FleetConfig(shard="tp2"), tracer=tracer
+        )
         engine.run(small_trace(), rng=RngStream(17))
         spans = tracer.find(name="rank.overlap")
         assert spans
@@ -324,8 +332,10 @@ class TestShardedServing:
 
     def test_pipeline_send_spans_traced(self):
         tracer = Tracer()
-        engine = ShardedServingEngine(A100, config=CONFIG, shard="tp2pp2",
-                                      tracer=tracer)
+        engine = ShardedServingEngine(
+            A100, config=CONFIG, fleet=FleetConfig(shard="tp2pp2"),
+            tracer=tracer,
+        )
         engine.run(small_trace(), rng=RngStream(17))
         sends = tracer.find(name="rank.send")
         assert sends
@@ -421,7 +431,9 @@ def test_fleet_report_merges_its_replicas(
             fleet=FleetConfig(autoscale=True, max_replicas=dp),
         )
     else:
-        engine = ShardedServingEngine(A100, config=config, shard=f"dp{dp}")
+        engine = ShardedServingEngine(
+            A100, config=config, fleet=FleetConfig(shard=f"dp{dp}")
+        )
     report = engine.run(trace, rng=RngStream(seed))
     for name in ADDITIVE:
         assert getattr(report, name) == sum(

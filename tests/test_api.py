@@ -148,8 +148,9 @@ class TestLegacyKeywords:
             compare_engines(TINY, 1, 32, bogus=1)
 
     def test_retired_spellings_raise_type_error(self):
-        """``gpu=``/``pattern=`` and the loose fleet keywords are gone:
-        passing one fails loudly instead of being renamed."""
+        """``gpu=``/``pattern=`` and the loose fleet keywords (``shard=``,
+        ``route=``, ``overlap=``, ...) are gone: passing one fails loudly
+        instead of being renamed."""
         from repro.gpu.specs import A100
         from repro.parallel import ShardedServingEngine
         from repro.serving import ServingConfig, ServingEngine, make_scheduler
@@ -164,6 +165,10 @@ class TestLegacyKeywords:
                             engines=("pytorch-native",))
         with pytest.raises(TypeError, match="overlap"):
             ShardedServingEngine(A100, config=cfg, overlap=False)
+        with pytest.raises(TypeError, match="shard"):
+            ShardedServingEngine(A100, config=cfg, shard="tp2")
+        with pytest.raises(TypeError, match="route"):
+            ShardedServingEngine(A100, config=cfg, route="round-robin")
         with pytest.raises(TypeError, match="contention"):
             ServingEngine(A100, make_scheduler("continuous"), cfg,
                           shard="tp2", contention=0.5)
@@ -179,7 +184,7 @@ class TestTraceHook:
 
 
 class TestFleetKeywords:
-    """The ``shard=``/``route=`` short forms fold into FleetConfig."""
+    """``FleetConfig`` is the one spelling of a fleet."""
 
     def _mk(self, **kwargs):
         from repro.gpu.specs import A100
@@ -190,20 +195,6 @@ class TestFleetKeywords:
             A100, config=ServingConfig(heads=4, head_size=16, n_layers=2),
             **kwargs,
         )
-
-    def test_fleet_conflicts_with_any_loose_kwarg(self):
-        from repro.parallel import FleetConfig
-
-        with pytest.raises(ConfigError, match="'shard' keyword"):
-            self._mk(fleet=FleetConfig(), shard="tp2")
-        with pytest.raises(ConfigError, match="'route' keyword"):
-            self._mk(fleet=FleetConfig(), route="round-robin")
-
-    def test_plain_short_forms_do_not_warn(self, recwarn):
-        engine = self._mk(shard="tp2", route="round-robin")
-        assert engine.shard.tp == 2 and engine.route == "round-robin"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
 
     def test_fleet_config_is_the_canonical_spelling(self, recwarn):
         from repro.parallel import FleetConfig
