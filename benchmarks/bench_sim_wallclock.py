@@ -4,12 +4,13 @@ Times the serving commands of ``python -m repro`` (CLI defaults apart from
 the scenario and the request count) and appends one record per row to
 ``BENCH_sim.json`` at the repo root:
 
-    python benchmarks/bench_sim_wallclock.py            # 10^3 and 10^4 rows, 3 rounds
+    python benchmarks/bench_sim_wallclock.py            # 10^3, 10^4 and 10^5 rows, 3 rounds
     python benchmarks/bench_sim_wallclock.py --quick    # 10^3 rows only, 1 round
     python benchmarks/bench_sim_wallclock.py --quick --out /tmp/sim.json
 
 Rows are ``serve-sim``, ``shard-sim``, ``fleet-sim --scenario steady`` and
-``fleet-sim --scenario diurnal`` at each request count.  Each run of a row
+``fleet-sim --scenario diurnal`` at each request count, and in full mode
+one ``fleet-sim --scenario steady`` row at 10^5 requests.  Each run of a row
 is a fresh interpreter, so its peak RSS is its own and no memo carries
 over from another run.  Full mode runs the whole row set three times in
 rounds, so one row's runs are minutes apart and interleave with the other
@@ -62,6 +63,9 @@ COMMANDS = (
 )
 QUICK_REQUESTS = (1_000,)
 FULL_REQUESTS = (1_000, 10_000)
+#: Full mode's rows past the grid: the fleet at the scale its wall-clock
+#: target is set at.
+FULL_EXTRA_ROWS = (("fleet-sim", ("--scenario", "steady"), 100_000),)
 #: Rounds over the whole row set in full mode (quick mode runs one).
 FULL_ROUNDS = 3
 
@@ -194,6 +198,8 @@ def main(argv: list[str] | None = None) -> None:
         for n_requests in (QUICK_REQUESTS if args.quick else FULL_REQUESTS)
         for command, extra in COMMANDS
     ]
+    if not args.quick:
+        rows += FULL_EXTRA_ROWS
     runs: dict[tuple, list[dict]] = {row: [] for row in rows}
     rounds = 1 if args.quick else FULL_ROUNDS
     for k in range(rounds):

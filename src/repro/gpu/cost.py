@@ -23,9 +23,10 @@ The model (see DESIGN.md §1 for the rationale):
    ``__syncthreads`` round (serialized across waves).
 
 The model's formulas are written once (:func:`_model`) and evaluate either
-on Python numbers for one launch (:func:`estimate_kernel_time`) or
+on Python numbers for one launch (:func:`estimate_kernel_time`, or
+:func:`estimate_launch_seconds` once the launch's occupancy is known) or
 elementwise on NumPy arrays for a batch of candidate launches
-(:func:`estimate_kernel_times`); both give the same doubles.
+(:func:`estimate_kernel_times`); all give the same doubles.
 """
 
 from __future__ import annotations
@@ -212,10 +213,10 @@ def _model(ops: Ops, spec: GPUSpec, blocks_per_sm: Any, cost: Any, config: Any) 
     simt, sync, utilization, waves)`` of launches whose blocks fit
     ``blocks_per_sm`` to an SM.
 
-    ``cost`` and ``config`` carry the fields of :class:`KernelCost` (with
-    ``bytes_dram``) and :class:`LaunchConfig`: Python numbers with
-    :data:`FLOAT_OPS`, arrays with :data:`ARRAY_OPS`.  Every denominator is
-    positive, so both branches of a ``where`` are safe to evaluate.
+    ``cost`` and ``config`` carry the fields of :class:`KernelCost` and
+    :class:`LaunchConfig`: Python numbers with :data:`FLOAT_OPS`, arrays
+    with :data:`ARRAY_OPS`.  Every denominator is positive, so both
+    branches of a ``where`` are safe to evaluate.
     """
     # --- utilization: how much of the device the grid actually covers -------
     capacity = blocks_per_sm * spec.sm_count
@@ -237,7 +238,8 @@ def _model(ops: Ops, spec: GPUSpec, blocks_per_sm: Any, cost: Any, config: Any) 
 
     # --- phase times ---------------------------------------------------------
     where = ops.where
-    t_dram = where(cost.bytes_dram, cost.bytes_dram / (spec.dram_bandwidth * util_mem), 0.0)
+    bytes_dram = cost.bytes_dram_read + cost.bytes_dram_written
+    t_dram = where(bytes_dram, bytes_dram / (spec.dram_bandwidth * util_mem), 0.0)
     t_l2 = (
         where(cost.bytes_l2_read, cost.bytes_l2_read / (spec.l2_bandwidth * util_mem), 0.0)
         if spec.l2_bandwidth
@@ -296,6 +298,20 @@ def estimate_kernel_time(
     )
 
 
+def estimate_launch_seconds(spec: GPUSpec, blocks_per_sm: int, launch: Any) -> float:
+    """``estimate_kernel_time(spec, cost, config).total`` of one launch
+    whose occupancy is already resolved.
+
+    ``launch`` carries the fields of both :class:`KernelCost` and
+    :class:`LaunchConfig` as plain numbers, and ``blocks_per_sm`` is
+    :func:`~repro.gpu.occupancy.compute_occupancy`'s for its warps, SMEM
+    and registers.  For a caller that prices many launches of one shape
+    (the serving engine's packed decode step): it builds no dataclass,
+    looks up no occupancy and builds no :class:`TimeBreakdown`.
+    """
+    return _model(FLOAT_OPS, spec, blocks_per_sm, launch, launch)[0]
+
+
 #: The keywords of :func:`estimate_kernel_times` besides ``grid_blocks``:
 #: every other field of the two dataclasses, with its default.
 _BATCH_DEFAULTS = {
@@ -324,7 +340,6 @@ def estimate_kernel_times(
     batch = SimpleNamespace(
         grid_blocks=grid_blocks, **{**_BATCH_DEFAULTS, **launch_fields}
     )
-    batch.bytes_dram = batch.bytes_dram_read + batch.bytes_dram_written
     warps, smem, regs = np.broadcast_arrays(
         batch.warps_per_block, batch.smem_per_block, batch.regs_per_thread
     )

@@ -55,10 +55,17 @@ def row_rises(mask: np.ndarray) -> np.ndarray:
     >>> row_rises(np.array([[1, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=bool))
     array([1, 2, 0])
     """
-    padded = np.concatenate(
-        [np.zeros((mask.shape[0], 1), dtype=bool), mask], axis=1
+    rows, width = mask.shape
+    if width == 0:
+        return np.zeros(rows, dtype=np.intp)
+    # One comparison pass: a rise at column j > 0 is mask[j] > mask[j - 1].
+    # A rise's flat index in the (rows, width - 1) comparison, floor-divided
+    # by width - 1, is its row; a width-1 mask has no such rise.
+    rises = np.bincount(
+        np.flatnonzero(mask[:, 1:] > mask[:, :-1]) // max(width - 1, 1),
+        minlength=rows,
     )
-    return ((~padded[:, :-1]) & padded[:, 1:]).sum(axis=1)
+    return rises + mask[:, 0]
 
 
 def contiguous_row_fraction(mask: np.ndarray) -> float:

@@ -17,7 +17,7 @@ even at batch 1.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,33 @@ GATHER_EFFICIENCY_SCATTERED = 0.5
 GATHER_EFFICIENCY_CONTIGUOUS = 1.0
 
 
-def plan_rowwise_launches(
+class RowwiseFields(NamedTuple):
+    """The time-model fields of one row-wise launch: a :class:`KernelCost`'s
+    and a :class:`LaunchConfig`'s in one flat record, which
+    :func:`repro.gpu.cost.estimate_launch_seconds` reads as both.
+
+    The annotated fields vary with the problem; the class attributes after
+    them are the same for every row-wise launch.
+    """
+
+    grid_blocks: int
+    warps_per_block: int
+    bytes_dram_read: float
+    bytes_dram_written: float
+    bytes_l2_read: float
+    flops_simt: float          # QK dot + PV acc + softmax (+ merge)
+    launches: int
+
+    smem_per_block = 0         # registers + shuffle only
+    regs_per_thread = 32
+    pipelined = True
+    bytes_smem = 0.0
+    bank_conflict_factor = 1.0
+    flops_tensor = 0.0         # a single row cannot feed wmma tiles
+    sync_rounds = 0.0          # no inter-warp synchronization
+
+
+def rowwise_launch_fields(
     spec: GPUSpec,
     *,
     num_warps: int,
@@ -51,16 +77,16 @@ def plan_rowwise_launches(
     head_size: int,
     nnz: int,
     contiguous_fraction: float,
-    kernel_name: str = "stof-rowwise",
-) -> list[Launch]:
-    """Price the row-wise kernel from aggregate mask statistics alone.
+) -> RowwiseFields:
+    """The row-wise kernel's launch, priced from aggregate mask statistics.
 
     The kernel's cost depends on the mask only through ``nnz`` and the
     contiguous-row fraction, so callers that already know those (the
     serving engine composes them per packed decode row from cached
-    per-request statistics) can plan without materializing the mask.
-    ``RowWiseKernel.plan`` derives the statistics and delegates here; the
-    arithmetic below is the single source of truth for both paths.
+    per-request statistics) can price without materializing the mask.
+    This is the only copy of the arithmetic: :func:`plan_rowwise_launches`
+    packs its result for ``RowWiseKernel.plan`` and the selector, and the
+    serving engine feeds it to the time model directly.
     """
     rows_total = n_bh * seq_len
     base_grid = max(1, math.ceil(rows_total / num_warps))
@@ -111,23 +137,62 @@ def plan_rowwise_launches(
         flops += rows_total * split * (3.0 * d + 8.0)  # merge math
         launches = 2
 
-    cost = KernelCost(
-        name=kernel_name,
+    return RowwiseFields(
+        grid_blocks=grid,
+        warps_per_block=num_warps,
         bytes_dram_read=dram_read,
         bytes_dram_written=out_bytes,
         bytes_l2_read=l2_read,
-        bytes_smem=0.0,            # registers + shuffle only
-        bank_conflict_factor=1.0,
-        flops_tensor=0.0,          # a single row cannot feed wmma tiles
-        flops_simt=flops,          # QK dot + PV acc + softmax (+ merge)
-        sync_rounds=0.0,           # no inter-warp synchronization
+        flops_simt=flops,
         launches=launches,
     )
+
+
+def plan_rowwise_launches(
+    spec: GPUSpec,
+    *,
+    num_warps: int,
+    n_bh: int,
+    seq_len: int,
+    kv_seq_len: int,
+    head_size: int,
+    nnz: int,
+    contiguous_fraction: float,
+    kernel_name: str = "stof-rowwise",
+) -> list[Launch]:
+    """The row-wise kernel's launch as a ``(KernelCost, LaunchConfig)``
+    plan: :func:`rowwise_launch_fields`, packed.
+
+    ``RowWiseKernel.plan`` derives the mask statistics and delegates here.
+    """
+    f = rowwise_launch_fields(
+        spec,
+        num_warps=num_warps,
+        n_bh=n_bh,
+        seq_len=seq_len,
+        kv_seq_len=kv_seq_len,
+        head_size=head_size,
+        nnz=nnz,
+        contiguous_fraction=contiguous_fraction,
+    )
+    cost = KernelCost(
+        name=kernel_name,
+        bytes_dram_read=f.bytes_dram_read,
+        bytes_dram_written=f.bytes_dram_written,
+        bytes_l2_read=f.bytes_l2_read,
+        bytes_smem=f.bytes_smem,
+        bank_conflict_factor=f.bank_conflict_factor,
+        flops_tensor=f.flops_tensor,
+        flops_simt=f.flops_simt,
+        sync_rounds=f.sync_rounds,
+        launches=f.launches,
+    )
     config = LaunchConfig(
-        grid_blocks=grid,
-        warps_per_block=num_warps,
-        smem_per_block=0,
-        pipelined=True,
+        grid_blocks=f.grid_blocks,
+        warps_per_block=f.warps_per_block,
+        smem_per_block=f.smem_per_block,
+        regs_per_thread=f.regs_per_thread,
+        pipelined=f.pipelined,
     )
     return [(cost, config)]
 

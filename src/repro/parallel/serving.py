@@ -199,6 +199,10 @@ class ShardedServingEngine:
             if plan_cache is not None
             else PlanCache(max_entries=self.config.plan_cache_entries)
         )
+        #: One decode row-price memo for the replicas and the probe: they
+        #: share the spec, the per-rank config and the layout, so a row
+        #: price one of them computed is every other's too.
+        self._row_prices: dict[tuple[int, ...], tuple[float, int]] = {}
         self._max_batch_size = max_batch_size
         self._max_batch_tokens = max_batch_tokens
         #: One replica's layout: the fleet shard without its DP axis.
@@ -231,6 +235,7 @@ class ShardedServingEngine:
             fleet=self.fleet,
             lane_base=lane_base,
             label=label,
+            row_prices=self._row_prices,
         )
 
     # ---------------------------------------------------------- width policy

@@ -63,11 +63,12 @@ from typing import Iterable
 from repro.core.errors import ConfigError
 from repro.core.fp16 import FP16_BYTES
 from repro.core.rng import RngStream
-from repro.gpu.cost import estimate_kernel_time
+from repro.gpu.cost import estimate_launch_seconds
+from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.specs import GPUSpec
 from repro.mha.module import UnifiedMHA
 from repro.mha.problem import AttentionProblem
-from repro.mha.rowwise import RowWiseKernel, plan_rowwise_launches
+from repro.mha.rowwise import RowWiseKernel, RowwiseFields, rowwise_launch_fields
 from repro.masks.patterns import causal_mask, make_pattern
 from repro.masks.stats import row_rises
 from repro.obs.metrics import current_metrics
@@ -167,6 +168,11 @@ class ServingEngine:
     ``contention``); ``lane_base`` and ``label`` place the replica's
     lanes on a fleet's trace.  It prices steps; :meth:`start` opens a
     :class:`ReplicaRun` that holds one run's state.
+
+    ``row_prices`` memoizes :meth:`_price_rows` on its five integers.
+    Engines may share one dict only when they share the spec, the config
+    and the layout, as a fleet's replicas do; ``None`` gives the engine
+    its own.
     """
 
     def __init__(
@@ -180,6 +186,7 @@ class ServingEngine:
         fleet: FleetConfig | None = None,
         lane_base: int = 0,
         label: str = "",
+        row_prices: dict[tuple[int, ...], tuple[float, int]] | None = None,
     ):
         layout = ShardConfig.parse(shard) if shard is not None else ShardConfig()
         fleet = fleet if fleet is not None else FleetConfig()
@@ -235,6 +242,16 @@ class ServingEngine:
             spec, cache=self.plan_cache if self.config.use_plan_cache else None
         )
         self._decode_kernel = RowWiseKernel()
+        # Every packed decode launch has one shape (the row-wise kernel's
+        # default warps, no SMEM), so its occupancy is resolved once.
+        self._decode_warps = self._decode_kernel.default_params(None, spec)["num_warps"]
+        self._decode_blocks_per_sm = compute_occupancy(
+            spec,
+            self._decode_warps,
+            RowwiseFields.smem_per_block,
+            RowwiseFields.regs_per_thread,
+        ).blocks_per_sm
+        self._row_prices = row_prices if row_prices is not None else {}
 
     # ----------------------------------------------------------- step pricing
 
@@ -296,29 +313,32 @@ class ServingEngine:
         The row-wise kernel prices a mask only through its ``nnz`` and the
         share of non-empty rows attending one contiguous run
         (``single / nonempty``), so callers pass those statistics instead
-        of a mask.
+        of a mask.  The price is a pure function of the five integers and
+        the engine's constants, so it is memoized on them
+        (``row_prices``).
         """
-        contig = 1.0 if nonempty == 0 else float(single) / float(nonempty)
-        num_warps = self._decode_kernel.default_params(None, self.spec)["num_warps"]
-        seconds = 0.0
-        launches = 0
-        for cost, launch_cfg in plan_rowwise_launches(
-            self.spec,
-            num_warps=num_warps,
-            n_bh=self.config.heads,
-            seq_len=seq_len,
-            kv_seq_len=kv_seq_len,
-            head_size=self.config.head_size,
-            nnz=nnz,
-            contiguous_fraction=contig,
-            kernel_name=self._decode_kernel.name,
-        ):
-            seconds += estimate_kernel_time(self.spec, cost, launch_cfg).total
-            launches += cost.launches
-        return (
-            seconds * self.config.n_layers,
-            launches * self.config.n_layers,
-        )
+        key = (seq_len, kv_seq_len, nnz, nonempty, single)
+        price = self._row_prices.get(key)
+        if price is None:
+            contig = 1.0 if nonempty == 0 else float(single) / float(nonempty)
+            launch = rowwise_launch_fields(
+                self.spec,
+                num_warps=self._decode_warps,
+                n_bh=self.config.heads,
+                seq_len=seq_len,
+                kv_seq_len=kv_seq_len,
+                head_size=self.config.head_size,
+                nnz=nnz,
+                contiguous_fraction=contig,
+            )
+            seconds = estimate_launch_seconds(
+                self.spec, self._decode_blocks_per_sm, launch
+            )
+            price = self._row_prices[key] = (
+                seconds * self.config.n_layers,
+                launch.launches * self.config.n_layers,
+            )
+        return price
 
     # ---------------------------------------------------------------- decode
 
@@ -858,10 +878,20 @@ class ReplicaRun:
     ) -> list[tuple[RequestTracker, int]]:
         """Grow each decode member's page run, preempting the
         latest-arrived resident while the cache is full; returns the
-        members that still decode this step."""
+        members that still decode this step.
+
+        ``reserve`` grows a run only when ``need`` passes the tokens its
+        pages cover, so it is called only then: once per page crossing.
+        The pages are read live, never remembered, because admission and
+        preemption release them.  A holder not yet attached to its shared
+        prefix counts none of the prefix pages, so it still reserves (and
+        attaches).
+        """
         if not self.scheduler.allows_preemption:
             return members
         spec = self.config.spec_decode
+        cache = self.cache
+        page_tokens = cache.config.page_tokens
         members.sort(key=lambda tp: (tp[0].request.arrival_s, tp[0].req_id))
         survivors: list[tuple[RequestTracker, int]] = []
         for tr, pos in members:
@@ -873,7 +903,10 @@ class ReplicaRun:
                 # step; reserve that headroom (clamped to the budget the
                 # request can actually reach).
                 need = min(need + spec.draft_tokens, tr.request.max_context)
-            while not self.cache.reserve(tr.req_id, need):
+            while (
+                need > cache.pages_of(tr.req_id) * page_tokens
+                and not cache.reserve(tr.req_id, need)
+            ):
                 evictable = [
                     t
                     for t in self.running

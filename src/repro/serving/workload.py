@@ -393,6 +393,7 @@ def make_scenario(
         raise ConfigError(
             f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
         )
+    _require_positive("rate_rps", rate_rps)
     span_s = n_requests / rate_rps
     if name == "steady":
         arrivals: ArrivalProcess = PoissonArrivals(rate_rps)

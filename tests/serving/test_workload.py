@@ -146,6 +146,9 @@ class TestWorkloadSpec:
             assert len(trace) == 8
         with pytest.raises(ConfigError):
             make_scenario("weekend")
+        for name in SCENARIOS:
+            with pytest.raises(ConfigError, match="rate_rps"):
+                make_scenario(name, rate_rps=0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -258,6 +258,15 @@ class TestErrorExitCodes:
         assert "error:" in captured.err and "--dp-values" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("scenario", ["steady", "diurnal", "bursty"])
+    def test_fleet_sim_zero_rate_exits_2(self, capsys, scenario):
+        assert main(["fleet-sim", "--scenario", scenario,
+                     "--num-requests", "4", "--rate", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "rate" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("content", ["{not json", "[]"],
                              ids=["not-json", "list"])
     def test_plan_cache_load_malformed_file_exits_2(self, tmp_path, capsys,
